@@ -7,7 +7,6 @@ over a seasonal horizon, and simulates month-by-month sensor rollout
 against random and query-by-committee baselines.
 """
 
-from ._kernels import BACKEND
 from .als_engine import (FitReport, SufficientStats, accumulate_stats, fit,
                          project, resolve_caps, solve_block)
 from .data_io import (DatasetManifest, SyntheticConfig, generate_synthetic,
@@ -28,6 +27,9 @@ from .uncertainty import (ConfidenceParams, KernelConfig, error_bound,
                           sherman_morrison_update, triangle_weight)
 
 __version__ = "0.1.0"
+
+# Numeric backend, recorded in benchmark run metadata; numpy is the only one.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND", "CandidatePool", "ConfidenceParams", "DataFormatError",

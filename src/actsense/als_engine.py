@@ -7,6 +7,14 @@ system, then project onto the nonnegative norm-capped feasible set.
 A sweep updates all home rows, then all appliance rows, then all season
 rows, rebuilding the sufficient statistics from the current factors
 before each block family.
+
+The tensor is small and dense, so the normal equations are contractions
+of the 0/1 observation mask W and the masked readings X * W with row-wise
+outer products of the factors, not scatters over the observed cells.
+Home row i gets lambda I + sum_j (a_j a_j^T) o Y[i, j], where
+Y = W_(M*N x T) @ rows(s s^T); appliance rows contract the same Y with
+rows(h h^T), and season rows contract W_(M x N*T) with rows(h h^T) and
+then rows(a a^T).
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericalError
-from .tensor_core import EnergyTensor, LatentFactors, ModelConfig, ObservationSet
+from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
+                          masked_loss)
 
 CONDITION_LIMIT = 1e12
 
@@ -67,27 +75,65 @@ def init_factors(tensor: EnergyTensor, config: ModelConfig, caps: tuple) -> Late
     return LatentFactors(H=mats[0], A=mats[1], S=mats[2], rank=config.rank)
 
 
-def _family(vecs, weights, idx, n_rows, lam, rank):
-    if len(idx) == 0:
-        return (np.tile(lam * np.eye(rank), (n_rows, 1, 1)),
-                np.zeros((n_rows, rank)))
-    vecs = np.ascontiguousarray(vecs, dtype=float)
-    weights = np.ascontiguousarray(weights, dtype=float)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    return _kernels.accumulate_outer(vecs, weights, idx, n_rows, lam)
+def _outer_rows(mat):
+    """Row-wise outer products, flattened: (n, r) -> (n, r*r)."""
+    return (mat[:, :, None] * mat[:, None, :]).reshape(mat.shape[0], -1)
+
+
+def _masked_readings(tensor: EnergyTensor, omega: ObservationSet):
+    """The dense 0/1 mask W of ``omega`` and X * W, both (M, N, T)."""
+    W = omega.dense_mask(tensor.readings.shape)
+    return W, tensor.readings * W
+
+
+def _season_contractions(W, XW, S):
+    """(Y, B): Y[i, j] = sum_k W[i,j,k] s_k s_k^T, B[i, j] = sum_k (X*W)[i,j,k] s_k.
+
+    Both depend on S alone, so the home and appliance updates of one
+    sweep share them.
+    """
+    M, N, T = W.shape
+    return ((W.reshape(-1, T) @ _outer_rows(S)).reshape(M, N, -1),
+            (XW.reshape(-1, T) @ S).reshape(M, N, -1))
+
+
+def _with_ridge(flat, lam, r):
+    """(n, r*r) accumulated outer products -> (n, r, r) precisions lam*I + G."""
+    return flat.reshape(-1, r, r) + lam * np.eye(r)
+
+
+def _home_family(Y, B, A, lam):
+    return (_with_ridge(np.einsum("ijq,jq->iq", Y, _outer_rows(A)), lam, A.shape[1]),
+            np.einsum("ijp,jp->ip", B, A))
+
+
+def _app_family(Y, B, H, lam):
+    return (_with_ridge(np.einsum("ijq,iq->jq", Y, _outer_rows(H)), lam, H.shape[1]),
+            np.einsum("ijp,ip->jp", B, H))
+
+
+def _season_family(W, XW, H, A, lam):
+    """Contract over homes first, then over appliances: the sums of
+    W_(3)^T @ rows(z z^T) with z over khatri_rao(H, A), without its M*N-row
+    temporaries."""
+    M, N, T = W.shape
+    r = H.shape[1]
+    V = (_outer_rows(H).T @ W.reshape(M, -1)).reshape(-1, N, T)
+    U = (H.T @ XW.reshape(M, -1)).reshape(r, N, T)
+    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), lam, r),
+            np.einsum("pjk,jp->kp", U, A))
 
 
 def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
                      factors: LatentFactors, config: ModelConfig) -> SufficientStats:
     """Build all three families of normal equations from the same factors."""
     omega.check_bounds(tensor)
-    ii, jj, kk = omega.arrays()
-    e = tensor.readings[ii, jj, kk]
-    r = config.rank
-    M, N, T = tensor.readings.shape
-    hp, hr = _family(factors.A[jj] * factors.S[kk], e, ii, M, config.lambda1, r)
-    ap, ar = _family(factors.H[ii] * factors.S[kk], e, jj, N, config.lambda2, r)
-    sp, sr = _family(factors.H[ii] * factors.A[jj], e, kk, T, config.lambda3, r)
+    H, A, S = factors.H, factors.A, factors.S
+    W, XW = _masked_readings(tensor, omega)
+    Y, B = _season_contractions(W, XW, S)
+    hp, hr = _home_family(Y, B, A, config.lambda1)
+    ap, ar = _app_family(Y, B, H, config.lambda2)
+    sp, sr = _season_family(W, XW, H, A, config.lambda3)
     return SufficientStats(home_precision=hp, home_rhs=hr,
                            app_precision=ap, app_rhs=ar,
                            season_precision=sp, season_rhs=sr)
@@ -108,12 +154,24 @@ def solve_block(precision, rhs, prior_term=None, lambda_for_prior: float = 0.0):
         raise NumericalError(str(exc)) from exc
 
 
-def _solve_family(precision, rhs):
-    conds = np.linalg.cond(precision)
-    worst = float(np.max(conds)) if conds.size else 1.0
-    if not np.isfinite(worst) or worst > CONDITION_LIMIT:
-        raise NumericalError(f"precision matrix condition {worst:.3e} exceeds "
-                             f"{CONDITION_LIMIT:.0e}")
+def _solve_family(precision, rhs, lam: float):
+    """Solve a stack of lambda*I + G systems, G PSD, behind the condition guard.
+
+    Every eigenvalue of lambda*I + G lies in [lambda, trace - (r-1)*lambda],
+    so when that ratio is within CONDITION_LIMIT the SVD behind
+    np.linalg.cond is skipped; otherwise the exact condition decides.
+    """
+    r = precision.shape[-1]
+    bound = np.inf
+    if lam > 0:
+        traces = np.trace(precision, axis1=-2, axis2=-1)
+        bound = (traces.max(initial=0.0) - (r - 1) * lam) / lam
+    if not (np.isfinite(bound) and bound <= CONDITION_LIMIT):
+        conds = np.linalg.cond(precision)
+        worst = float(np.max(conds)) if conds.size else 1.0
+        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+            raise NumericalError(f"precision matrix condition {worst:.3e} exceeds "
+                                 f"{CONDITION_LIMIT:.0e}")
     try:
         return np.linalg.solve(precision, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -204,9 +262,7 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     else:
         factors = fresh
 
-    ii, jj, kk = omega.arrays()
-    e = tensor.readings[ii, jj, kk]
-    M, N, T = tensor.readings.shape
+    W, XW = _masked_readings(tensor, omega)
     H, A, S = factors.H.copy(), factors.A.copy(), factors.S.copy()
 
     trace = []
@@ -215,23 +271,24 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     for sweep in range(config.max_sweeps):
         sweeps = sweep + 1
         revived = False
-        hp, hr = _family(A[jj] * S[kk], e, ii, M, config.lambda1, config.rank)
-        H = _project_rows(_solve_family(hp, hr), P)
+        Y, B = _season_contractions(W, XW, S)
+        hp, hr = _home_family(Y, B, A, config.lambda1)
+        H = _project_rows(_solve_family(hp, hr, config.lambda1), P)
         if revivals_allowed:
             revived |= _revive_columns(H, fresh.H)
-        ap, ar = _family(H[ii] * S[kk], e, jj, N, config.lambda2, config.rank)
-        A = _project_rows(_solve_family(ap, ar), Q)
+        ap, ar = _app_family(Y, B, H, config.lambda2)
+        A = _project_rows(_solve_family(ap, ar, config.lambda2), Q)
         if revivals_allowed:
             revived |= _revive_columns(A, fresh.A)
-        sp, sr = _family(H[ii] * A[jj], e, kk, T, config.lambda3, config.rank)
+        sp, sr = _season_family(W, XW, H, A, config.lambda3)
         if season_prior is not None:
             sr = sr + config.lambda3 * season_prior
-        S = _project_rows(_solve_family(sp, sr), R)
+        S = _project_rows(_solve_family(sp, sr, config.lambda3), R)
         if revivals_allowed:
             revived |= _revive_columns(S, fresh.S)
 
         current = LatentFactors(H=H, A=A, S=S, rank=config.rank)
-        obj = _objective(tensor, e, ii, jj, kk, current, config, season_prior)
+        obj = masked_loss(W, XW, current, config, season_prior)
         trace.append(obj)
         if sweep >= 1 and not revived:
             prev = trace[-2]
@@ -244,15 +301,3 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     return final, stats, FitReport(sweeps_run=sweeps, objective_trace=tuple(trace),
                                    converged=converged)
 
-
-def _objective(tensor, e, ii, jj, kk, factors, config, season_prior):
-    data_term = 0.0
-    if len(ii):
-        preds = _kernels.predict_cells(factors.H, factors.A, factors.S, ii, jj, kk)
-        resid = preds - e
-        data_term = float(np.dot(resid, resid))
-    s_term = factors.S if season_prior is None else factors.S - season_prior
-    return (data_term
-            + config.lambda1 * float(np.sum(factors.H ** 2))
-            + config.lambda2 * float(np.sum(factors.A ** 2))
-            + config.lambda3 * float(np.sum(s_term ** 2)))

@@ -424,7 +424,7 @@ def cmd_gridsearch(args) -> int:
     best, rows = evaluation.grid_search(
         tensor, splits, grid, cfg.strategy, cfg.model_config(), T=cfg.T,
         seed=cfg.seed, confidence=cfg.confidence(), uncertainty_mode=cfg.mode,
-        committee_ranks=cfg.committee, jobs=args.jobs)
+        committee_ranks=cfg.committee, horizon=cfg.horizon, jobs=args.jobs)
     _write_csv(args.output, ["strategy", "rank", "lambda", "sigma", "L",
                              "fold", "year_rmse_val", "year_rmse_test"], rows)
     if best is None:

@@ -222,11 +222,12 @@ def generate_synthetic(cfg: SyntheticConfig):
     S = _season_matrix(cfg, rng)
 
     A_full = np.vstack([A_break.sum(axis=0), A_break])
-    clean = np.einsum("ir,jr,kr->ijk", H, A_full, S)
+    clean = LatentFactors(H=H, A=A_full, S=S, rank=cfg.true_rank).reconstruct()
     mean_cell = float(clean[:, 1:, :].mean())
     scale = (cfg.mean_kwh / mean_cell) ** (1.0 / 3.0)
-    H, A_full, S = H * scale, A_full * scale, S * scale
-    clean = np.einsum("ir,jr,kr->ijk", H, A_full, S)
+    truth = LatentFactors(H=H * scale, A=A_full * scale, S=S * scale,
+                          rank=cfg.true_rank)
+    clean = truth.reconstruct()
 
     readings = clean
     if cfg.noise_sigma > 0:
@@ -239,7 +240,6 @@ def generate_synthetic(cfg: SyntheticConfig):
     tensor = EnergyTensor(readings=readings,
                           mask=np.ones_like(readings, dtype=bool),
                           appliance_names=names, aggregate_index=0)
-    truth = LatentFactors(H=H, A=A_full, S=S, rank=cfg.true_rank)
     return tensor, truth
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import NumericalError
 from .tensor_core import EnergyTensor, ModelConfig
 
 log = logging.getLogger(__name__)
@@ -140,50 +141,29 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
 def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                 base_config: ModelConfig, T: int = 12, seed: int = 0,
                 confidence=None, uncertainty_mode: str = "full",
-                committee_ranks=(1, 2, 3, 4), jobs: int = 1):
+                committee_ranks=(1, 2, 3, 4), horizon: int = 12, jobs: int = 1):
     """Evaluate every grid point on every fold; pick the point with the
     lowest fold-averaged validation Year RMSE.
 
     Returns (best, rows): ``best`` is the winning point as a dict (None
     when every point failed), ``rows`` one dict per (point, fold) with
-    validation and test Year RMSE.  Fold seeds derive from ``seed`` and
-    the fold index only, so different strategies and grid points see
-    identical reveal randomness.
+    validation and test Year RMSE.  A point whose simulation raises
+    NumericalError or ValueError is recorded with its message in
+    ``error``; any other exception propagates.  Fold seeds derive from
+    ``seed`` and the fold index only, so different strategies and grid
+    points see identical reveal randomness.
     """
-    from dataclasses import replace as _replace
-
-    from . import simulator
-
-    tasks = []
-    for p_idx, (rank, lam, sigma, L) in enumerate(grid.points()):
-        for f_idx, split in enumerate(splits):
-            tasks.append((p_idx, rank, lam, sigma, L, f_idx, split))
-
-    def _one(task):
-        p_idx, rank, lam, sigma, L, f_idx, split = task
-        cfg = _replace(base_config, rank=int(rank), lambda1=float(lam),
-                       lambda2=float(lam), lambda3=float(lam))
-        kc_kwargs = {"sigma_window": int(sigma)}
-        fold_seed = int(np.random.SeedSequence([int(seed), int(f_idx)]).generate_state(1)[0])
-        try:
-            report = simulator.run(
-                tensor, split, strategy, L=int(L), T=T, model_config=cfg,
-                confidence=confidence, kernel_config_kwargs=kc_kwargs,
-                seed=fold_seed, uncertainty_mode=uncertainty_mode,
-                committee_ranks=committee_ranks)
-            return (p_idx, f_idx, report.val_year_rmse, report.year_rmse, None)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal per point
-            log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, exc)
-            return (p_idx, f_idx, float("nan"), float("nan"), str(exc))
-
+    packed = [(tensor, base_config, strategy, T, seed, horizon, confidence,
+               uncertainty_mode, committee_ranks,
+               (p_idx, rank, lam, sigma, L, f_idx, split))
+              for p_idx, (rank, lam, sigma, L) in enumerate(grid.points())
+              for f_idx, split in enumerate(splits)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_grid_task, [
-                (tensor, base_config, strategy, T, seed, confidence,
-                 uncertainty_mode, committee_ranks, task) for task in tasks]))
+            results = list(pool.map(_run_grid_task, packed))
     else:
-        results = [_one(task) for task in tasks]
+        results = [_run_grid_task(task) for task in packed]
 
     points = grid.points()
     rows = []
@@ -212,23 +192,24 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
 
 
 def _run_grid_task(packed):
-    """Top-level worker so grid tasks can cross a process boundary."""
-    (tensor, base_config, strategy, T, seed, confidence,
+    """One (grid point, fold) simulation; top level so that it can cross a
+    process boundary."""
+    (tensor, base_config, strategy, T, seed, horizon, confidence,
      uncertainty_mode, committee_ranks, task) = packed
-    from dataclasses import replace as _replace
-
     from . import simulator
 
     p_idx, rank, lam, sigma, L, f_idx, split = task
-    cfg = _replace(base_config, rank=int(rank), lambda1=float(lam),
-                   lambda2=float(lam), lambda3=float(lam))
+    cfg = replace(base_config, rank=int(rank), lambda1=float(lam),
+                  lambda2=float(lam), lambda3=float(lam))
     fold_seed = int(np.random.SeedSequence([int(seed), int(f_idx)]).generate_state(1)[0])
     try:
         report = simulator.run(
             tensor, split, strategy, L=int(L), T=T, model_config=cfg,
-            confidence=confidence, kernel_config_kwargs={"sigma_window": int(sigma)},
+            confidence=confidence,
+            kernel_config_kwargs={"sigma_window": int(sigma), "horizon": int(horizon)},
             seed=fold_seed, uncertainty_mode=uncertainty_mode,
             committee_ranks=committee_ranks)
         return (p_idx, f_idx, report.val_year_rmse, report.year_rmse, None)
-    except Exception as exc:  # noqa: BLE001
+    except (NumericalError, ValueError) as exc:
+        log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, exc)
         return (p_idx, f_idx, float("nan"), float("nan"), str(exc))

@@ -95,7 +95,7 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
     remaining = list(pool.pairs)
     chosen, chosen_scores = [], []
     for _ in range(min(L, len(pool))):
-        live = InvertedStats(home=inv_home, app=inv_app, season=inv.season)
+        live = InvertedStats(home=inv_home, app=inv_app)
         scores = uncertainty.score_pairs(remaining, t, factors, live,
                                          season_prior, cp, kc, mode)
         pick = _top_by_score(remaining, scores, 1)

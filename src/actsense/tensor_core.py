@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 
 def _frozen_array(a, dtype=float):
     out = np.ascontiguousarray(a, dtype=dtype)
@@ -100,6 +98,12 @@ class ObservationSet:
         idx = self._idx
         return idx[:, 0], idx[:, 1], idx[:, 2]
 
+    def dense_mask(self, shape) -> np.ndarray:
+        """Float 0/1 array of ``shape`` with ones at the observed cells."""
+        mask = np.zeros(shape)
+        mask[self.arrays()] = 1.0
+        return mask
+
     def check_bounds(self, tensor: EnergyTensor) -> None:
         ii, jj, kk = self.arrays()
         if len(ii) == 0:
@@ -150,7 +154,8 @@ class LatentFactors:
 
     def reconstruct(self) -> np.ndarray:
         """Full predicted tensor, shape (M, N, T)."""
-        return np.einsum("ir,jr,kr->ijk", self.H, self.A, self.S)
+        M, N, T = self.H.shape[0], self.A.shape[0], self.S.shape[0]
+        return (self.H @ khatri_rao(self.A, self.S).T).reshape(M, N, T)
 
     def validate(self, caps, atol: float = 1e-9) -> None:
         """Check nonnegativity and row-norm caps (P, Q, R); raise otherwise."""
@@ -217,6 +222,11 @@ def hadamard(u, v) -> np.ndarray:
     return u * v
 
 
+def khatri_rao(U, V) -> np.ndarray:
+    """Column-wise Kronecker product: row a * len(V) + b is U[a] * V[b]."""
+    return (U[:, None, :] * V[None, :, :]).reshape(-1, U.shape[1])
+
+
 def predict(factors: LatentFactors, i: int, j: int, k: int) -> float:
     """Model estimate of cell (i, j, k) from the factor rows."""
     M, N, T = factors.H.shape[0], factors.A.shape[0], factors.S.shape[0]
@@ -235,19 +245,25 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
     otherwise.
     """
     omega.check_observed(tensor)
-    ii, jj, kk = omega.arrays()
-    data_term = 0.0
-    if len(ii):
-        preds = _kernels.predict_cells(factors.H, factors.A, factors.S, ii, jj, kk)
-        resid = preds - tensor.readings[ii, jj, kk]
-        data_term = float(np.dot(resid, resid))
-    s_term = factors.S
     if season_prior is not None:
         season_prior = np.asarray(season_prior, dtype=float)
         if season_prior.shape != factors.S.shape:
             raise ValueError("season_prior shape must match the season factor matrix")
-        s_term = factors.S - season_prior
-    reg = (config.lambda1 * float(np.sum(factors.H ** 2))
-           + config.lambda2 * float(np.sum(factors.A ** 2))
-           + config.lambda3 * float(np.sum(s_term ** 2)))
-    return data_term + reg
+    W = omega.dense_mask(tensor.readings.shape)
+    return masked_loss(W, tensor.readings * W, factors, config, season_prior)
+
+
+def masked_loss(W, XW, factors: LatentFactors, config: ModelConfig,
+                season_prior: np.ndarray | None = None) -> float:
+    """The objective of :func:`masked_objective`, from a dense 0/1 mask
+    ``W`` and ``XW`` = readings * W, each (M, N, T) or matricized."""
+    M = factors.H.shape[0]
+    resid = factors.H @ khatri_rao(factors.A, factors.S).T
+    resid *= W.reshape(M, -1)
+    resid -= XW.reshape(M, -1)
+    resid = resid.ravel()
+    s_term = factors.S if season_prior is None else factors.S - season_prior
+    return (float(np.einsum("i,i->", resid, resid))
+            + config.lambda1 * float(np.sum(factors.H ** 2))
+            + config.lambda2 * float(np.sum(factors.A ** 2))
+            + config.lambda3 * float(np.sum(s_term ** 2)))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .als_engine import CONDITION_LIMIT, SufficientStats
 from .errors import NumericalError
 from .tensor_core import LatentFactors, ModelConfig
@@ -77,19 +76,18 @@ class InvertedStats:
 
     home: np.ndarray    # (M, r, r)
     app: np.ndarray     # (N, r, r)
-    season: np.ndarray  # (T, r, r)
 
 
 def invert_stats(stats: SufficientStats) -> InvertedStats:
-    """Invert all precision stacks once per fit; reused across pair scores."""
-    for mats in (stats.home_precision, stats.app_precision, stats.season_precision):
+    """Invert the home and appliance precision stacks once per fit; reused
+    across pair scores."""
+    for mats in (stats.home_precision, stats.app_precision):
         conds = np.linalg.cond(mats)
         worst = float(np.max(conds)) if conds.size else 1.0
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericalError(f"precision condition {worst:.3e} too large to invert")
     return InvertedStats(home=np.linalg.inv(stats.home_precision),
-                         app=np.linalg.inv(stats.app_precision),
-                         season=np.linalg.inv(stats.season_precision))
+                         app=np.linalg.inv(stats.app_precision))
 
 
 def _quadform(precision, v):
@@ -187,8 +185,8 @@ def score_pairs(pairs, t: int, factors: LatentFactors, inv: InvertedStats,
         return np.zeros(0)
     xs = np.array([p[0] for p in pairs], dtype=np.int64)
     ys = np.array([p[1] for p in pairs], dtype=np.int64)
-    inv_home = np.ascontiguousarray(inv.home[xs])
-    inv_app = np.ascontiguousarray(inv.app[ys])
+    inv_home = inv.home[xs]
+    inv_app = inv.app[ys]
     h_rows = factors.H[xs]
     a_rows = factors.A[ys]
     total = np.zeros(len(pairs))
@@ -202,10 +200,10 @@ def score_pairs(pairs, t: int, factors: LatentFactors, inv: InvertedStats,
             if season_prior is None or tp >= np.asarray(season_prior).shape[0]:
                 raise ValueError(f"season prior row for future month {tp} is missing")
             s_tilde = np.asarray(season_prior, dtype=float)[tp]
-        v_home = np.ascontiguousarray(a_rows * s_tilde)
-        v_app = np.ascontiguousarray(h_rows * s_tilde)
-        q_home = _kernels.quadform_batch(inv_home, v_home)
-        q_app = _kernels.quadform_batch(inv_app, v_app)
+        v_home = a_rows * s_tilde
+        v_app = h_rows * s_tilde
+        q_home = np.einsum("nr,nrs,ns->n", v_home, inv_home, v_home)
+        q_app = np.einsum("nr,nrs,ns->n", v_app, inv_app, v_app)
         total += w * (cp.alpha_home * np.sqrt(np.maximum(q_home, 0.0))
                       + cp.alpha_app * np.sqrt(np.maximum(q_app, 0.0)))
     return total

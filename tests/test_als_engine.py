@@ -5,7 +5,7 @@ from actsense import (EnergyTensor, LatentFactors, ModelConfig, NumericalError,
                       ObservationSet, SyntheticConfig, accumulate_stats, fit,
                       generate_synthetic, masked_objective, project,
                       resolve_caps, solve_block)
-from actsense.als_engine import init_factors
+from actsense.als_engine import CONDITION_LIMIT, _solve_family, init_factors
 
 from conftest import full_omega
 
@@ -18,6 +18,25 @@ def ridge_oracle(vecs, values, lam, prior=None):
     rhs = np.concatenate([values, target])
     sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     return sol
+
+
+def scatter_stats(tensor, omega, factors, lams):
+    """Normal equations by np.add.at: one outer product per observed cell,
+    added to the precision of the row that the cell touches."""
+    ii, jj, kk = omega.arrays()
+    e = tensor.readings[ii, jj, kk]
+    H, A, S = factors.H, factors.A, factors.S
+    out = []
+    for vecs, idx, n_rows, lam in ((A[jj] * S[kk], ii, len(H), lams[0]),
+                                   (H[ii] * S[kk], jj, len(A), lams[1]),
+                                   (H[ii] * A[jj], kk, len(S), lams[2])):
+        r = factors.rank
+        precision = np.tile(lam * np.eye(r), (n_rows, 1, 1))
+        rhs = np.zeros((n_rows, r))
+        np.add.at(precision, idx, vecs[:, :, None] * vecs[:, None, :])
+        np.add.at(rhs, idx, e[:, None] * vecs)
+        out += [precision, rhs]
+    return out
 
 
 class TestAccumulateStats:
@@ -71,6 +90,34 @@ class TestAccumulateStats:
         with pytest.raises(ValueError):
             accumulate_stats(tiny_tensor, ObservationSet.from_triples([(9, 0, 0)]),
                              f, cfg)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("coverage", [0.0, 0.3, 0.7, 1.0],
+                             ids=["empty", "sparse", "dense", "full"])
+    def test_dense_path_matches_scatter_oracle(self, rank, coverage):
+        rng = np.random.default_rng(100 * rank + int(10 * coverage))
+        M, N, T = 5, 4, 6
+        readings = rng.uniform(0.0, 50.0, size=(M, N, T))
+        tensor = EnergyTensor(readings=readings, mask=np.ones((M, N, T), dtype=bool),
+                              appliance_names=tuple(f"a{j}" for j in range(N)))
+        cells = [(i, j, k) for i in range(M) for j in range(N) for k in range(T)]
+        omega = ObservationSet.from_triples(
+            c for c in cells if coverage == 1.0 or rng.random() < coverage)
+        lams = (0.7, 1.9, 3.1)
+        cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
+        f = LatentFactors(H=rng.random((M, rank)), A=rng.random((N, rank)),
+                          S=rng.random((T, rank)), rank=rank)
+        stats = accumulate_stats(tensor, omega, f, cfg)
+        got = (stats.home_precision, stats.home_rhs, stats.app_precision,
+               stats.app_rhs, stats.season_precision, stats.season_rhs)
+        for g, want in zip(got, scatter_stats(tensor, omega, f, lams)):
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+        if coverage == 0.0:
+            for g, lam in zip(got[::2], lams):
+                np.testing.assert_array_equal(g, np.tile(lam * np.eye(rank),
+                                                         (len(g), 1, 1)))
+            for g in got[1::2]:
+                np.testing.assert_array_equal(g, 0.0)
 
     def test_precisions_are_spd_with_ridge_seed(self, tiny_tensor, tiny_omega):
         rng = np.random.default_rng(6)
@@ -130,6 +177,51 @@ class TestSolveBlock:
                 solve_block(precision, rhs, prior_term=prior, lambda_for_prior=lam),
                 ridge_oracle(vecs, vals, lam, prior=prior),
                 rtol=1e-8, atol=1e-8)
+
+
+class TestSolveFamily:
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        calls = []
+        real_cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            calls.append(1)
+            return real_cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        return calls
+
+    def test_singular_unregularized_stack_rejected(self, cond_calls):
+        stack = np.tile([[1.0, 1.0], [1.0, 1.0]], (3, 1, 1))
+        with pytest.raises(NumericalError):
+            _solve_family(stack, np.ones((3, 2)), 0.0)
+        assert len(cond_calls) == 1
+
+    def test_trace_bound_skips_the_exact_condition(self, cond_calls):
+        rng = np.random.default_rng(11)
+        vecs = rng.normal(size=(6, 8, 3))
+        stack = 2.0 * np.eye(3) + np.einsum("nar,nas->nrs", vecs, vecs)
+        rhs = rng.normal(size=(6, 3))
+        x = _solve_family(stack, rhs, 2.0)
+        assert cond_calls == []
+        np.testing.assert_allclose(np.einsum("nrs,ns->nr", stack, x), rhs,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_loose_trace_bound_falls_back_and_solves(self, cond_calls):
+        # cond is 1, but the bound (trace - (r-1) lam) / lam is 1.2e12 + 1
+        lam, g = 1.0, 0.6 * CONDITION_LIMIT
+        stack = np.tile((lam + g) * np.eye(2), (2, 1, 1))
+        rhs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x = _solve_family(stack, rhs, lam)
+        assert len(cond_calls) == 1
+        np.testing.assert_allclose(x, rhs / (lam + g), rtol=1e-14)
+
+    def test_ill_conditioned_stack_rejected_after_fallback(self, cond_calls):
+        stack = np.diag([1.0 + 2.0 * CONDITION_LIMIT, 1.0])[None]
+        with pytest.raises(NumericalError):
+            _solve_family(stack, np.ones((1, 2)), 1.0)
+        assert len(cond_calls) == 1
 
 
 class TestProject:
@@ -241,6 +333,43 @@ class TestFit:
         cfg = ModelConfig(rank=2)
         with pytest.raises(ValueError):
             fit(tiny_tensor, tiny_omega, cfg, season_prior=np.ones((1, 2)))
+
+
+# The fit below as the earlier np.add.at scatter path (per-cell normal
+# equations and objective) computed it.  The dense-mask path sums in
+# another order, so the factors agree to rtol 1e-9 (observed: 1e-13), not
+# bit for bit.
+FROZEN_H = [[2.774000954838541, 0.19335274099023864], [2.585551292691836, 1.1910489980508445],
+            [2.8490490397663155, 2.5651429526159077], [1.9291706957589454, 1.8773283140088481],
+            [3.4527779084350265, 0.5578005821172298], [2.0865657230205796, 2.55608526821812],
+            [0.8888983319312918, 3.499120377894794], [3.3814151913944563, 0.0]]
+FROZEN_A = [[12.849884681921548, 11.46830384729285], [2.057569947422088, 1.862649770770479],
+            [4.659010132343839, 4.230890789253386], [3.245411529186947, 3.7333104604919303],
+            [2.9221728389037454, 1.5087784235651749]]
+FROZEN_S = [[0.9444726271756553, 3.366472194285432], [3.430762300506072, 6.313184621310539],
+            [6.904660938304115, 8.68166484438334], [9.986304580527264, 10.346739943588279],
+            [12.646575482914919, 10.468641769451423], [13.70454610488957, 8.66625252977439]]
+FROZEN_OBJECTIVE = 117598.64374399824
+
+
+def test_100_sweep_fit_matches_frozen_factors():
+    tensor, _ = generate_synthetic(SyntheticConfig(
+        num_homes=8, num_appliances=4, num_months=6, true_rank=2,
+        noise_sigma=0.05, seed=17))
+    rng = np.random.default_rng(17)
+    M, N, T = tensor.readings.shape
+    omega = ObservationSet.from_triples(
+        (i, j, k) for i in range(M) for j in range(N) for k in range(T)
+        if j == tensor.aggregate_index or rng.random() < 0.4)
+    prior = rng.uniform(0.5, 3.0, size=(T, 2))
+    cfg = ModelConfig(rank=2, lambda1=100.0, lambda2=100.0, lambda3=100.0,
+                      max_sweeps=100, seed=3)
+    factors, _, report = fit(tensor, omega, cfg, season_prior=prior)
+    assert len(omega) == 122 and report.sweeps_run == 100
+    for got, want in ((factors.H, FROZEN_H), (factors.A, FROZEN_A),
+                      (factors.S, FROZEN_S)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert report.objective_trace[-1] == pytest.approx(FROZEN_OBJECTIVE, rel=1e-9)
 
 
 def finite_difference_gradient(objective, row, h=1e-6):

@@ -250,6 +250,25 @@ class TestGridsearch:
         assert list(rows[0]) == ["strategy", "rank", "lambda", "sigma", "L",
                                  "fold", "year_rmse_val", "year_rmse_test"]
 
+    def test_horizon_reaches_the_simulations(self, dataset, tmp_path, monkeypatch):
+        from actsense import simulator
+        real_run = simulator.run
+        seen = []
+
+        def recording_run(*args, **kwargs):
+            seen.append(kwargs["kernel_config_kwargs"].get("horizon"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr("actsense.simulator.run", recording_run)
+        argv = ["gridsearch", "--data", str(dataset), "--strategy", "actsense",
+                "--ranks", "2", "--lambdas", "100", "--sigmas", "2",
+                "--L", "1", "--T", "2", "--folds", "2", "--seed", "1",
+                "--max-sweeps", "30"]
+        for horizon in ("4", "12"):
+            rc = main(argv + ["--horizon", horizon, "-o", str(tmp_path / "g.csv")])
+            assert rc == 0
+        assert seen == [4, 4, 12, 12]  # two folds per horizon
+
     def test_parallel_gridsearch_matches_sequential(self, dataset, tmp_path):
         seq, par = tmp_path / "gseq.csv", tmp_path / "gpar.csv"
         argv = ["gridsearch", "--data", str(dataset), "--strategy", "random",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from actsense import (EnergyTensor, GridSpec, ModelConfig, SyntheticConfig,
-                      generate_synthetic, grid_search, kfold_split, mean_rmse,
+from actsense import (EnergyTensor, GridSpec, ModelConfig, NumericalError,
+                      SyntheticConfig, generate_synthetic, grid_search,
+                      kfold_split, mean_rmse,
                       relative_improvement, rmse_appliance_month, year_rmse)
 
 
@@ -162,7 +163,7 @@ class TestGridSearch:
 
         def flaky_run(t, split, strategy, L, T, model_config, **kw):
             if model_config.rank == 1:
-                raise RuntimeError("synthetic failure")
+                raise NumericalError("synthetic failure")
             return real_run(t, split, strategy, L=L, T=T,
                             model_config=model_config, **kw)
 
@@ -171,3 +172,15 @@ class TestGridSearch:
         assert best["rank"] == 2
         failed = [r for r in rows if r["error"]]
         assert len(failed) == 2 and all(r["rank"] == 1 for r in failed)
+        assert all(r["error"] == "synthetic failure" for r in failed)
+
+    def test_unexpected_errors_propagate(self, world, monkeypatch):
+        tensor, splits, base = world
+        grid = GridSpec(ranks=(2,), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
+
+        def broken_run(*args, **kwargs):
+            raise TypeError("a bug, not a failed grid point")
+
+        monkeypatch.setattr("actsense.simulator.run", broken_run)
+        with pytest.raises(TypeError, match="a bug"):
+            grid_search(tensor, splits, grid, "random", base, T=4, seed=1)

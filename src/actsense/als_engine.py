@@ -8,24 +8,30 @@ A sweep updates all home rows, then all appliance rows, then all season
 rows, rebuilding the sufficient statistics from the current factors
 before each block family.
 
-The tensor is small and dense, so the normal equations are contractions
-of the 0/1 observation mask W and the masked readings X * W with row-wise
-outer products of the factors, not scatters over the observed cells.
-Home row i gets lambda I + sum_j (a_j a_j^T) o Y[i, j], where
-Y = W_(M*N x T) @ rows(s s^T); appliance rows contract the same Y with
-rows(h h^T), and season rows contract W_(M x N*T) with rows(h h^T) and
-then rows(a a^T).
+The tensor is small and dense, so the normal equations are matrix
+products of the matricized 0/1 observation mask W_(1) (M x N*T) and the
+matricized masked readings XW_(1) with the factors, not scatters over the
+observed cells (Kolda & Bader, Tensor Decompositions and Applications,
+SIAM Review 2009).  With Z = khatri_rao(A, S), whose row j*T + k is
+a_j o s_k, home row i gets lambda I + (W_(1) @ rows(z z^T))[i] and the
+rhs (XW_(1) @ Z)[i].  After the home update, one contraction over homes,
+V = rows(h h^T)^T @ W_(1) and U = H^T @ XW_(1), serves the other two
+families: appliance rows contract V and U over months with rows(s s^T)
+and S, season rows contract them over appliances with rows(a a^T) and A.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
-                          masked_loss)
+                          khatri_rao, masked_loss)
+
+log = logging.getLogger(__name__)
 
 CONDITION_LIMIT = 1e12
 
@@ -81,20 +87,9 @@ def _outer_rows(mat):
 
 
 def _masked_readings(tensor: EnergyTensor, omega: ObservationSet):
-    """The dense 0/1 mask W of ``omega`` and X * W, both (M, N, T)."""
-    W = omega.dense_mask(tensor.readings.shape)
-    return W, tensor.readings * W
-
-
-def _season_contractions(W, XW, S):
-    """(Y, B): Y[i, j] = sum_k W[i,j,k] s_k s_k^T, B[i, j] = sum_k (X*W)[i,j,k] s_k.
-
-    Both depend on S alone, so the home and appliance updates of one
-    sweep share them.
-    """
-    M, N, T = W.shape
-    return ((W.reshape(-1, T) @ _outer_rows(S)).reshape(M, N, -1),
-            (XW.reshape(-1, T) @ S).reshape(M, N, -1))
+    """The 0/1 mask W of ``omega`` and X * W, both matricized to (M, N*T)."""
+    W = omega.dense_mask(tensor.readings.shape).reshape(tensor.num_homes, -1)
+    return W, tensor.readings.reshape(W.shape) * W
 
 
 def _with_ridge(flat, lam, r):
@@ -102,25 +97,33 @@ def _with_ridge(flat, lam, r):
     return flat.reshape(-1, r, r) + lam * np.eye(r)
 
 
-def _home_family(Y, B, A, lam):
-    return (_with_ridge(np.einsum("ijq,jq->iq", Y, _outer_rows(A)), lam, A.shape[1]),
-            np.einsum("ijp,jp->ip", B, A))
+def _home_family(W, XW, A, S, lam):
+    """lam*I + W_(1) @ rows(z z^T) and XW_(1) @ Z, with Z = khatri_rao(A, S)."""
+    Z = khatri_rao(A, S)
+    return _with_ridge(W @ _outer_rows(Z), lam, A.shape[1]), XW @ Z
 
 
-def _app_family(Y, B, H, lam):
-    return (_with_ridge(np.einsum("ijq,iq->jq", Y, _outer_rows(H)), lam, H.shape[1]),
-            np.einsum("ijp,ip->jp", B, H))
+def _home_contractions(W, XW, H, N):
+    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)), reshaped to
+    (r*r, N, T) and (r, N, T).
 
-
-def _season_family(W, XW, H, A, lam):
-    """Contract over homes first, then over appliances: the sums of
-    W_(3)^T @ rows(z z^T) with z over khatri_rao(H, A), without its M*N-row
-    temporaries."""
-    M, N, T = W.shape
+    Both depend on H alone, so the appliance and season updates of one
+    sweep share them.
+    """
     r = H.shape[1]
-    V = (_outer_rows(H).T @ W.reshape(M, -1)).reshape(-1, N, T)
-    U = (H.T @ XW.reshape(M, -1)).reshape(r, N, T)
-    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), lam, r),
+    return ((_outer_rows(H).T @ W).reshape(r * r, N, -1),
+            (H.T @ XW).reshape(r, N, -1))
+
+
+def _app_family(V, U, S, lam):
+    """Contract V and U over months with rows(s s^T) and S."""
+    return (_with_ridge(np.einsum("qjk,kq->jq", V, _outer_rows(S)), lam, S.shape[1]),
+            np.einsum("pjk,kp->jp", U, S))
+
+
+def _season_family(V, U, A, lam):
+    """Contract V and U over appliances with rows(a a^T) and A."""
+    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), lam, A.shape[1]),
             np.einsum("pjk,jp->kp", U, A))
 
 
@@ -130,10 +133,10 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
     omega.check_bounds(tensor)
     H, A, S = factors.H, factors.A, factors.S
     W, XW = _masked_readings(tensor, omega)
-    Y, B = _season_contractions(W, XW, S)
-    hp, hr = _home_family(Y, B, A, config.lambda1)
-    ap, ar = _app_family(Y, B, H, config.lambda2)
-    sp, sr = _season_family(W, XW, H, A, config.lambda3)
+    hp, hr = _home_family(W, XW, A, S, config.lambda1)
+    V, U = _home_contractions(W, XW, H, len(A))
+    ap, ar = _app_family(V, U, S, config.lambda2)
+    sp, sr = _season_family(V, U, A, config.lambda3)
     return SufficientStats(home_precision=hp, home_rhs=hr,
                            app_precision=ap, app_rhs=ar,
                            season_precision=sp, season_rhs=sr)
@@ -242,8 +245,9 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     """Coordinate-descent fit; returns (factors, stats, report).
 
     Sweeps stop when the relative objective change drops below
-    ``config.tol`` or after ``config.max_sweeps``.  The returned stats
-    are rebuilt from the final factors.
+    ``config.tol`` or after ``config.max_sweeps``; stopping at the cap
+    logs one INFO line.  The returned stats are rebuilt from the final
+    factors.
     """
     omega.check_observed(tensor)
     caps = resolve_caps(tensor, config)
@@ -263,7 +267,7 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
         factors = fresh
 
     W, XW = _masked_readings(tensor, omega)
-    H, A, S = factors.H.copy(), factors.A.copy(), factors.S.copy()
+    H, A, S = factors.H, factors.A, factors.S
 
     trace = []
     converged = False
@@ -271,30 +275,35 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     for sweep in range(config.max_sweeps):
         sweeps = sweep + 1
         revived = False
-        Y, B = _season_contractions(W, XW, S)
-        hp, hr = _home_family(Y, B, A, config.lambda1)
+        hp, hr = _home_family(W, XW, A, S, config.lambda1)
         H = _project_rows(_solve_family(hp, hr, config.lambda1), P)
         if revivals_allowed:
             revived |= _revive_columns(H, fresh.H)
-        ap, ar = _app_family(Y, B, H, config.lambda2)
+        V, U = _home_contractions(W, XW, H, len(A))
+        ap, ar = _app_family(V, U, S, config.lambda2)
         A = _project_rows(_solve_family(ap, ar, config.lambda2), Q)
         if revivals_allowed:
             revived |= _revive_columns(A, fresh.A)
-        sp, sr = _season_family(W, XW, H, A, config.lambda3)
+        sp, sr = _season_family(V, U, A, config.lambda3)
         if season_prior is not None:
             sr = sr + config.lambda3 * season_prior
         S = _project_rows(_solve_family(sp, sr, config.lambda3), R)
         if revivals_allowed:
             revived |= _revive_columns(S, fresh.S)
 
-        current = LatentFactors(H=H, A=A, S=S, rank=config.rank)
-        obj = masked_loss(W, XW, current, config, season_prior)
+        obj = masked_loss(W, XW, H, A, S, config, season_prior)
         trace.append(obj)
         if sweep >= 1 and not revived:
             prev = trace[-2]
             if abs(prev - obj) <= config.tol * max(abs(prev), 1e-12):
                 converged = True
                 break
+
+    if not converged:
+        change = (abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-12)
+                  if len(trace) > 1 else float("nan"))
+        log.info("fit stopped after max_sweeps=%d sweeps without reaching tol=%g; "
+                 "last relative objective change %.3e", sweeps, config.tol, change)
 
     final = LatentFactors(H=H, A=A, S=S, rank=config.rank)
     stats = accumulate_stats(tensor, omega, final, config)

@@ -4,7 +4,9 @@ Subcommands: ``generate`` (synthetic CSV), ``simulate`` (deployment
 runs), ``compare`` (strategy tables), ``sweep`` (budget curves) and
 ``gridsearch`` (hyperparameter search).  Option precedence is flags >
 config file > defaults, with ``ACTSENSE_SEED`` as the only environment
-input.  Exit codes: 0 success, 1 usage, 2 runtime/numerical failure.
+input.  ``--log-level``, given before the subcommand, sets the threshold
+of the package's log lines (WARNING by default).  Exit codes: 0 success,
+1 usage, 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -231,14 +233,16 @@ def cmd_generate(args) -> int:
 
 
 def _simulate_fold(payload):
+    """(report, fitted season factors of the last month) of one fold."""
     (tensor, split, cfg, fold_index, extra, season_prior) = payload
-    return simulator.run(
+    report, state = simulator.run_with_state(
         tensor, split, cfg.strategy, L=cfg.L, T=cfg.T,
         model_config=cfg.model_config(), confidence=cfg.confidence(),
         kernel_config_kwargs={"sigma_window": cfg.sigma, "horizon": cfg.horizon},
         seed=cfg.seed, season_prior=season_prior, uncertainty_mode=cfg.mode,
         committee_ranks=cfg.committee, sequential=cfg.sequential,
         extra_config=extra)
+    return report, state.factors.S
 
 
 def cmd_simulate(args) -> int:
@@ -266,24 +270,18 @@ def cmd_simulate(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_simulate_fold, payloads))
+            results = list(pool.map(_simulate_fold, payloads))
     else:
-        reports = [_simulate_fold(p) for p in payloads]
+        results = [_simulate_fold(p) for p in payloads]
 
     label = _report_label({"strategy": cfg.strategy, "uncertainty_mode": cfg.mode})
-    for f, report in zip(fold_ids, reports):
+    for f, (report, _) in zip(fold_ids, results):
         path = outdir / f"report_{label}_fold{f}.json"
         data_io.write_report(report, path)
         print(f"fold {f}: year RMSE {report.year_rmse:.4f} -> {path}")
 
     if args.save_season:
-        _, state = simulator.run_with_state(
-            tensor, splits[fold_ids[0]], cfg.strategy, L=cfg.L, T=cfg.T,
-            model_config=cfg.model_config(), confidence=cfg.confidence(),
-            kernel_config_kwargs={"sigma_window": cfg.sigma, "horizon": cfg.horizon},
-            seed=cfg.seed, season_prior=season_prior, uncertainty_mode=cfg.mode,
-            committee_ranks=cfg.committee, sequential=cfg.sequential)
-        np.savetxt(args.save_season, state.factors.S, delimiter=",")
+        np.savetxt(args.save_season, results[0][1], delimiter=",")
         print(f"wrote fitted season factors of fold {fold_ids[0]} -> "
               f"{args.save_season}")
     return 0
@@ -450,6 +448,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="actsense",
                      description="Active sensor deployment simulator for "
                                  "monthly energy breakdown")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="threshold of the package's log lines on stderr")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -542,6 +543,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    package_log = logging.getLogger("actsense")
+    previous_level = package_log.level
+    package_log.setLevel(args.log_level)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -550,6 +554,8 @@ def main(argv=None) -> int:
     except (NumericalError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_log.setLevel(previous_level)
 
 
 if __name__ == "__main__":

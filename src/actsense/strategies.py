@@ -36,14 +36,12 @@ class CandidatePool:
     def build(cls, train_homes, tensor: EnergyTensor, installed) -> "CandidatePool":
         """All (train home, breakdown appliance) pairs that are not yet
         instrumented and have at least one ground-truth month."""
-        pairs = []
-        for i in sorted(int(h) for h in train_homes):
-            for j in tensor.breakdown_indices():
-                if (i, j) in installed:
-                    continue
-                if not tensor.mask[i, j, :].any():
-                    continue
-                pairs.append((i, j))
+        homes = sorted(int(h) for h in train_homes)
+        apps = tensor.breakdown_indices()
+        observable = tensor.mask[np.ix_(np.array(homes, dtype=np.int64),
+                                        np.array(apps, dtype=np.int64))].any(-1)
+        pairs = [(i, j) for i, row in zip(homes, observable.tolist())
+                 for j, seen in zip(apps, row) if seen and (i, j) not in installed]
         return cls(tuple(pairs))
 
     def __len__(self):

@@ -69,29 +69,71 @@ class EnergyTensor:
         return tuple(j for j in range(self.num_appliances) if j != self.aggregate_index)
 
 
-@dataclass(frozen=True)
+def _as_cells(triples) -> np.ndarray:
+    """(3, n) int64 array of (home, appliance, month) triples, one per column."""
+    if isinstance(triples, ObservationSet):
+        return triples._idx.T
+    if not isinstance(triples, np.ndarray):
+        triples = list(triples)
+    cells = np.asarray(triples, dtype=np.int64)
+    if cells.size == 0:
+        return np.zeros((3, 0), dtype=np.int64)
+    if cells.ndim != 2 or cells.shape[1] != 3:
+        raise ValueError("observations must be (home, appliance, month) triples")
+    return cells.T
+
+
+def _unique_cells(cells: np.ndarray) -> np.ndarray:
+    """Sorted, duplicate-free columns of a (3, n) cell array, C-contiguous.
+
+    Cells are ranked by their linear index in the smallest box holding
+    them all, which orders them lexicographically.  A box of more than
+    2**63 cells raises ValueError.
+    """
+    if cells.shape[1] == 0:
+        return np.zeros((3, 0), dtype=np.int64)
+    lo = cells.min(axis=1, keepdims=True)
+    offset = cells - lo
+    dims = tuple(offset.max(axis=1) + 1)
+    # a sort and a neighbour test: np.unique took about 20 times as long
+    # on 76k int64 values with numpy 2.4
+    linear = np.sort(np.ravel_multi_index(offset, dims))
+    linear = linear[np.concatenate(([True], linear[1:] != linear[:-1]))]
+    out = np.stack(np.unravel_index(linear, dims))
+    out += lo
+    return out
+
+
 class ObservationSet:
-    """Set of (home, appliance, month) triples the model may see."""
+    """Set of (home, appliance, month) triples the model may see.
 
-    entries: frozenset
+    Held as one sorted, duplicate-free (n, 3) int64 index array, so
+    iteration and :meth:`arrays` follow ascending triple order.  The
+    array is column-major: each of its columns is contiguous.
+    """
 
-    def __post_init__(self):
-        entries = frozenset((int(i), int(j), int(k)) for i, j, k in self.entries)
-        object.__setattr__(self, "entries", entries)
-        triples = sorted(entries)
-        idx = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
-        object.__setattr__(self, "_idx", _frozen_array(idx, dtype=np.int64))
+    __slots__ = ("_idx",)
+
+    def __init__(self, entries=()):
+        cells = _unique_cells(_as_cells(entries))
+        cells.setflags(write=False)
+        self._idx = cells.T
 
     @classmethod
     def from_triples(cls, triples) -> "ObservationSet":
-        return cls(frozenset(triples))
+        return cls(triples)
 
     @classmethod
     def empty(cls) -> "ObservationSet":
-        return cls(frozenset())
+        return cls()
+
+    @property
+    def entries(self) -> frozenset:
+        return frozenset(self)
 
     def union(self, triples) -> "ObservationSet":
-        return ObservationSet(self.entries | frozenset(triples))
+        cells = np.concatenate([self._idx.T, _as_cells(triples)], axis=1)
+        return ObservationSet(cells.T)
 
     def arrays(self):
         """Index arrays (homes, appliances, months) in sorted triple order."""
@@ -105,12 +147,9 @@ class ObservationSet:
         return mask
 
     def check_bounds(self, tensor: EnergyTensor) -> None:
-        ii, jj, kk = self.arrays()
-        if len(ii) == 0:
+        if len(self._idx) == 0:
             return
-        M, N, T = tensor.readings.shape
-        if ii.min() < 0 or ii.max() >= M or jj.min() < 0 or jj.max() >= N \
-                or kk.min() < 0 or kk.max() >= T:
+        if self._idx.min() < 0 or (self._idx.max(axis=0) >= tensor.readings.shape).any():
             raise ValueError("observation set references an out-of-range cell")
 
     def check_observed(self, tensor: EnergyTensor) -> None:
@@ -120,16 +159,31 @@ class ObservationSet:
             raise ValueError("observation set references a cell with no ground truth")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._idx)
 
     def __contains__(self, triple) -> bool:
-        return triple in self.entries
+        try:
+            cell = _as_cells([triple])
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return bool((self._idx.T == cell).all(axis=0).any())
 
     def __iter__(self):
-        return iter(sorted(self.entries))
+        return map(tuple, self._idx.tolist())
 
     def issubset(self, other: "ObservationSet") -> bool:
-        return self.entries <= other.entries
+        return len(self.union(other)) == len(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, ObservationSet):
+            return NotImplemented
+        return np.array_equal(self._idx, other._idx)
+
+    def __hash__(self):
+        return hash(self._idx.tobytes())
+
+    def __repr__(self):
+        return f"ObservationSet({len(self)} cells)"
 
 
 @dataclass(frozen=True)
@@ -250,20 +304,22 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
         if season_prior.shape != factors.S.shape:
             raise ValueError("season_prior shape must match the season factor matrix")
     W = omega.dense_mask(tensor.readings.shape)
-    return masked_loss(W, tensor.readings * W, factors, config, season_prior)
+    return masked_loss(W, tensor.readings * W, factors.H, factors.A, factors.S,
+                       config, season_prior)
 
 
-def masked_loss(W, XW, factors: LatentFactors, config: ModelConfig,
+def masked_loss(W, XW, H, A, S, config: ModelConfig,
                 season_prior: np.ndarray | None = None) -> float:
-    """The objective of :func:`masked_objective`, from a dense 0/1 mask
-    ``W`` and ``XW`` = readings * W, each (M, N, T) or matricized."""
-    M = factors.H.shape[0]
-    resid = factors.H @ khatri_rao(factors.A, factors.S).T
+    """The objective of :func:`masked_objective` for factor matrices
+    ``H, A, S``, from a dense 0/1 mask ``W`` and ``XW`` = readings * W,
+    each (M, N, T) or matricized."""
+    M = H.shape[0]
+    resid = H @ khatri_rao(A, S).T
     resid *= W.reshape(M, -1)
     resid -= XW.reshape(M, -1)
     resid = resid.ravel()
-    s_term = factors.S if season_prior is None else factors.S - season_prior
+    s_term = S if season_prior is None else S - season_prior
     return (float(np.einsum("i,i->", resid, resid))
-            + config.lambda1 * float(np.sum(factors.H ** 2))
-            + config.lambda2 * float(np.sum(factors.A ** 2))
+            + config.lambda1 * float(np.sum(H ** 2))
+            + config.lambda2 * float(np.sum(A ** 2))
             + config.lambda3 * float(np.sum(s_term ** 2)))

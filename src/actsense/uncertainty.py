@@ -80,10 +80,21 @@ class InvertedStats:
 
 def invert_stats(stats: SufficientStats) -> InvertedStats:
     """Invert the home and appliance precision stacks once per fit; reused
-    across pair scores."""
+    across pair scores.
+
+    Every matrix must have a condition number within CONDITION_LIMIT.  An
+    SPD r x r matrix has cond <= trace^r / det: det is the smallest
+    eigenvalue times r - 1 others, and the largest eigenvalue and each of
+    those others are at most the trace.  So the SVD behind np.linalg.cond
+    runs only where det <= 0 or that bound exceeds the limit.
+    """
     for mats in (stats.home_precision, stats.app_precision):
-        conds = np.linalg.cond(mats)
-        worst = float(np.max(conds)) if conds.size else 1.0
+        det = np.linalg.det(mats)
+        bounded = (det > 0) & (np.trace(mats, axis1=-2, axis2=-1) ** mats.shape[-1]
+                               <= CONDITION_LIMIT * det)
+        if bounded.all():
+            continue
+        worst = float(np.max(np.linalg.cond(mats)))
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericalError(f"precision condition {worst:.3e} too large to invert")
     return InvertedStats(home=np.linalg.inv(stats.home_precision),

@@ -26,3 +26,17 @@ def full_omega(tensor):
 @pytest.fixture
 def tiny_omega(tiny_tensor):
     return full_omega(tiny_tensor)
+
+
+@pytest.fixture
+def cond_calls(monkeypatch):
+    """One entry per np.linalg.cond call, the SVD the condition guards skip."""
+    calls = []
+    real_cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(1)
+        return real_cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    return calls

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -180,18 +182,6 @@ class TestSolveBlock:
 
 
 class TestSolveFamily:
-    @pytest.fixture
-    def cond_calls(self, monkeypatch):
-        calls = []
-        real_cond = np.linalg.cond
-
-        def counting_cond(*args, **kwargs):
-            calls.append(1)
-            return real_cond(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cond", counting_cond)
-        return calls
-
     def test_singular_unregularized_stack_rejected(self, cond_calls):
         stack = np.tile([[1.0, 1.0], [1.0, 1.0]], (3, 1, 1))
         with pytest.raises(NumericalError):
@@ -333,6 +323,27 @@ class TestFit:
         cfg = ModelConfig(rank=2)
         with pytest.raises(ValueError):
             fit(tiny_tensor, tiny_omega, cfg, season_prior=np.ones((1, 2)))
+
+    def test_stop_at_the_cap_logs_one_info_line(self, tiny_tensor, tiny_omega, caplog):
+        cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0, lambda3=1.0,
+                          max_sweeps=3, tol=1e-15)
+        with caplog.at_level(logging.INFO, logger="actsense.als_engine"):
+            _, _, report = fit(tiny_tensor, tiny_omega, cfg)
+        assert not report.converged and report.sweeps_run == 3
+        records = [r for r in caplog.records if r.name == "actsense.als_engine"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        prev, last = report.objective_trace[-2:]
+        message = records[0].getMessage()
+        assert "max_sweeps=3" in message
+        assert f"{abs(prev - last) / abs(prev):.3e}" in message
+
+    def test_converged_fit_logs_nothing(self, tiny_tensor, tiny_omega, caplog):
+        cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0, lambda3=1.0,
+                          max_sweeps=100, tol=0.5)
+        with caplog.at_level(logging.INFO, logger="actsense.als_engine"):
+            _, _, report = fit(tiny_tensor, tiny_omega, cfg)
+        assert report.converged
+        assert not [r for r in caplog.records if r.name == "actsense.als_engine"]
 
 
 # The fit below as the earlier np.add.at scatter path (per-cell normal

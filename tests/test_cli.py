@@ -1,9 +1,11 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from actsense import simulator
 from actsense.cli import main
 from actsense.errors import NumericalError
 
@@ -124,6 +126,72 @@ class TestSimulate:
         rc = main(_sim_args(dataset, tmp_path / "s2",
                             extra=["--fold", "0", "--season-prior", str(season)]))
         assert rc == 0
+
+
+class TestSaveSeason:
+    @pytest.fixture
+    def run_calls(self, monkeypatch):
+        """Arguments of every simulator.run_with_state call in this process."""
+        calls = []
+        real = simulator.run_with_state
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_with_state", counting)
+        return calls
+
+    def test_one_run_per_fold_and_the_season_of_fold_0(self, dataset, tmp_path,
+                                                       run_calls):
+        season = tmp_path / "season.csv"
+        rc = main(_sim_args(dataset, tmp_path / "o", strategy="actsense",
+                            extra=["--save-season", str(season)]))
+        assert rc == 0 and len(run_calls) == 2
+        # oracle: fold 0 run once more on its own, as --save-season used to
+        args, kwargs = run_calls[0]
+        assert kwargs.pop("extra_config")["fold"] == 0
+        _, state = simulator.run_with_state(*args, **kwargs)
+        want = tmp_path / "want.csv"
+        np.savetxt(want, state.factors.S, delimiter=",")
+        assert season.read_bytes() == want.read_bytes()
+
+    def test_parallel_folds_save_the_same_season(self, dataset, tmp_path, run_calls):
+        sequential, parallel = tmp_path / "seq.csv", tmp_path / "par.csv"
+        rc = main(_sim_args(dataset, tmp_path / "o1", strategy="actsense",
+                            extra=["--save-season", str(sequential)]))
+        assert rc == 0 and len(run_calls) == 2
+        rc = main(_sim_args(dataset, tmp_path / "o2", strategy="actsense",
+                            extra=["--save-season", str(parallel), "--jobs", "2"]))
+        # the folds ran in the workers, and this process ran none again
+        assert rc == 0 and len(run_calls) == 2
+        assert parallel.read_bytes() == sequential.read_bytes()
+
+
+class TestLogLevel:
+    def _records(self, caplog):
+        return [r for r in caplog.records if r.name.startswith("actsense")]
+
+    def test_default_hides_info_lines(self, dataset, tmp_path, caplog):
+        rc = main(_sim_args(dataset, tmp_path / "o",
+                            extra=["--fold", "0", "--max-sweeps", "1"]))
+        assert rc == 0 and self._records(caplog) == []
+
+    def test_info_shows_one_cap_line_per_fit(self, dataset, tmp_path, caplog):
+        package_log = logging.getLogger("actsense")
+        before = package_log.level
+        rc = main(["--log-level", "INFO",
+                   *_sim_args(dataset, tmp_path / "o",
+                              extra=["--fold", "0", "--max-sweeps", "1"])])
+        assert rc == 0
+        lines = [r.getMessage() for r in self._records(caplog)
+                 if r.name == "actsense.als_engine"]
+        assert len(lines) == 3  # one fit per month, T = 3
+        assert all("max_sweeps=1 " in line for line in lines)
+        assert package_log.level == before
+
+    def test_unknown_level_is_usage_error(self, dataset, tmp_path):
+        assert main(["--log-level", "LOUD", *_sim_args(dataset, tmp_path / "o")]) == 1
 
 
 class TestCompare:

@@ -40,6 +40,38 @@ class TestCandidatePool:
         with pytest.raises(ValueError):
             CandidatePool(pairs=((0, 1), (0, 1)))
 
+    @staticmethod
+    def loop_oracle(train_homes, tensor, installed):
+        pairs = []
+        for i in sorted(int(h) for h in train_homes):
+            for j in tensor.breakdown_indices():
+                if (i, j) in installed:
+                    continue
+                if not tensor.mask[i, j, :].any():
+                    continue
+                pairs.append((i, j))
+        return tuple(pairs)
+
+    @pytest.mark.parametrize("seed,aggregate", [(0, 0), (1, 0), (2, 2), (3, 4)])
+    def test_build_matches_loop_oracle(self, seed, aggregate):
+        rng = np.random.default_rng(seed)
+        M, N, T = 12, 5, 4
+        mask = rng.random((M, N, T)) < 0.3  # about a quarter of pairs have no month
+        mask[:, aggregate, :] = True
+        readings = np.where(mask, rng.uniform(1.0, 10.0, size=(M, N, T)), 0.0)
+        tensor = EnergyTensor(readings=readings, mask=mask,
+                              appliance_names=tuple(f"a{j}" for j in range(N)),
+                              aggregate_index=aggregate)
+        train = rng.permutation(M)[:8]
+        installed = {(int(i), int(j)): 0 for i, j in
+                     zip(rng.choice(train, 6), rng.integers(0, N, 6))}
+        want = self.loop_oracle(train, tensor, installed)
+        assert not mask[train].any(-1).all()
+        assert any(p in installed for p in
+                   ((int(i), j) for i in train for j in tensor.breakdown_indices()))
+        assert CandidatePool.build(train, tensor, installed).pairs == want
+        assert CandidatePool.build(list(train), tensor, installed).pairs == want
+
 
 class TestSelectActsense:
     def _setup(self):

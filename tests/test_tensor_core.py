@@ -182,6 +182,65 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet.from_triples([(5, 0, 0)]).check_bounds(tiny_tensor)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_frozenset_oracle(self, seed, tiny_tensor):
+        # cells drawn from [-2, 6)^3: overlapping, duplicated and out-of-range
+        rng = np.random.default_rng(seed)
+
+        def draw(n):
+            return [tuple(row) for row in rng.integers(-2, 6, size=(n, 3)).tolist()]
+
+        first = draw(40)
+        second = draw(40) + first[:5] + first[:5]
+        a, b = ObservationSet.from_triples(first), ObservationSet.from_triples(second)
+        oa, ob = frozenset(first), frozenset(second)
+        u = a.union(second)
+        ou = oa | ob
+        assert (len(a), len(b), len(u)) == (len(oa), len(ob), len(ou))
+        assert list(u) == sorted(ou) and list(a) == sorted(oa)
+        assert all(type(v) is int for cell in u for v in cell)
+        assert u.entries == ou
+        ii, jj, kk = u.arrays()
+        assert list(zip(ii.tolist(), jj.tolist(), kk.tolist())) == sorted(ou)
+        for cell in draw(60):
+            assert (cell in u) == (cell in ou)
+            assert (cell in a) == (cell in oa)
+        assert a.issubset(u) and b.issubset(u)
+        assert ObservationSet.from_triples(first[:7]).issubset(a)
+        assert a.issubset(b) == (oa <= ob) and u.issubset(a) == (ou <= oa)
+        assert (a == b) == (oa == ob)
+        assert u == a.union(b) == ObservationSet.from_triples(sorted(ou, reverse=True))
+        assert hash(u) == hash(a.union(b))
+        assert u != ObservationSet.from_triples(sorted(ou)[1:])
+        # every draw holds a cell with a negative index
+        with pytest.raises(ValueError):
+            u.check_bounds(tiny_tensor)
+
+    def test_empty_set(self, tiny_tensor):
+        e = ObservationSet.empty()
+        assert len(e) == 0 and list(e) == [] and e.entries == frozenset()
+        assert all(len(x) == 0 for x in e.arrays())
+        assert (0, 0, 0) not in e
+        assert e.issubset(e) and e == ObservationSet.from_triples([]) == e.union([])
+        e.check_observed(tiny_tensor)
+        one = e.union([(1, 2, 0)])
+        assert list(one) == [(1, 2, 0)] and e.issubset(one) and not one.issubset(e)
+        assert not e.dense_mask((2, 3, 3)).any()
+
+    @pytest.mark.parametrize("cell", [(2, 0, 0), (0, 3, 0), (0, 0, 3), (0, -1, 0)])
+    def test_out_of_range_cells(self, cell, tiny_tensor):
+        o = ObservationSet.from_triples([(1, 1, 1), cell])
+        assert cell in o and len(o) == 2
+        with pytest.raises(ValueError):
+            o.check_bounds(tiny_tensor)
+        with pytest.raises(ValueError):
+            o.check_observed(tiny_tensor)
+
+    @pytest.mark.parametrize("bad", [[(1, 2)], [(1, 2, 3, 4)], [(1, 2, 3), (4, 5)]])
+    def test_malformed_triples_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ObservationSet.from_triples(bad)
+
 
 class TestModelConfig:
     def test_validation(self):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from actsense import (ConfidenceParams, KernelConfig, LatentFactors,
-                      ModelConfig, error_bound, factor_error_alphas,
-                      instant_score, integrated_uncertainty, invert_stats,
-                      sherman_morrison_update, triangle_weight)
-from actsense.als_engine import SufficientStats
+                      ModelConfig, NumericalError, error_bound,
+                      factor_error_alphas, instant_score, integrated_uncertainty,
+                      invert_stats, sherman_morrison_update, triangle_weight)
+from actsense.als_engine import CONDITION_LIMIT, SufficientStats
 from actsense.uncertainty import score_pairs
 
 
@@ -126,6 +126,43 @@ def _scoring_setup(seed=0, M=3, N=4, T=12, r=2):
                             season_precision=spd(T), season_rhs=np.zeros((T, r)))
     prior = rng.random((T, r))
     return factors, stats, prior
+
+
+class TestInvertStats:
+    @staticmethod
+    def stats(home, app):
+        r = home.shape[-1]
+        return SufficientStats(home_precision=home, home_rhs=np.zeros(home.shape[:2]),
+                               app_precision=app, app_rhs=np.zeros(app.shape[:2]),
+                               season_precision=np.eye(r)[None],
+                               season_rhs=np.zeros((1, r)))
+
+    def test_trace_det_bound_skips_the_exact_condition(self, cond_calls):
+        rng = np.random.default_rng(13)
+        home, app = (2.0 * np.eye(3) + np.einsum("nar,nas->nrs", v, v)
+                     for v in (rng.normal(size=(6, 8, 3)), rng.normal(size=(4, 8, 3))))
+        inv = invert_stats(self.stats(home, app))
+        assert cond_calls == []
+        np.testing.assert_allclose(inv.home @ home, np.tile(np.eye(3), (6, 1, 1)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(inv.app @ app, np.tile(np.eye(3), (4, 1, 1)),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("mat", [
+        np.diag([1e11, 1e11, 1e11, 1.0]),  # cond 1e11, but trace^4 / det is 8.1e12
+        np.diag([2.0, -1.0]),              # det < 0: the bound does not apply
+    ], ids=["loose_bound", "negative_det"])
+    def test_failed_bound_falls_back_and_inverts(self, cond_calls, mat):
+        r = len(mat)
+        inv = invert_stats(self.stats(mat[None], np.eye(r)[None]))
+        assert len(cond_calls) == 1
+        np.testing.assert_allclose(inv.home[0], np.linalg.inv(mat), rtol=1e-14)
+
+    def test_ill_conditioned_stack_rejected(self, cond_calls):
+        bad = np.diag([1.0 + 2.0 * CONDITION_LIMIT, 1.0])[None]
+        with pytest.raises(NumericalError):
+            invert_stats(self.stats(np.eye(2)[None], bad))
+        assert len(cond_calls) == 1
 
 
 class TestIntegratedUncertainty:

@@ -18,6 +18,19 @@ rhs (XW_(1) @ Z)[i].  After the home update, one contraction over homes,
 V = rows(h h^T)^T @ W_(1) and U = H^T @ XW_(1), serves the other two
 families: appliance rows contract V and U over months with rows(s s^T)
 and S, season rows contract them over appliances with rows(a a^T) and A.
+
+Only the columns of W_(1) that hold an observation enter these products
+(tensor_core.masked_readings): a monthly simulation sees no month after
+the current one, so most (appliance, month) columns are empty.  Z keeps
+the matching rows, V and U are scattered back into zero arrays, and the
+objective's residual covers the same columns.  Dropping all-zero columns
+drops only exact zeros, so only the summation order changes.
+
+Past the condition guard, rank 1 and rank 2 families are solved in
+closed form (a division; the adjugate over the determinant), which on a
+1000-row stack is several times faster than the batched LAPACK solve.
+Rank 3 and above keep LAPACK: a vectorized elimination was slower than
+it on the small stacks those ranks meet here.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
-                          khatri_rao, masked_loss)
+                          masked_loss, masked_readings, support_rows)
 
 log = logging.getLogger(__name__)
 
@@ -83,13 +96,8 @@ def init_factors(tensor: EnergyTensor, config: ModelConfig, caps: tuple) -> Late
 
 def _outer_rows(mat):
     """Row-wise outer products, flattened: (n, r) -> (n, r*r)."""
-    return (mat[:, :, None] * mat[:, None, :]).reshape(mat.shape[0], -1)
-
-
-def _masked_readings(tensor: EnergyTensor, omega: ObservationSet):
-    """The 0/1 mask W of ``omega`` and X * W, both matricized to (M, N*T)."""
-    W = omega.dense_mask(tensor.readings.shape).reshape(tensor.num_homes, -1)
-    return W, tensor.readings.reshape(W.shape) * W
+    r = mat.shape[1]
+    return (mat[:, :, None] * mat[:, None, :]).reshape(mat.shape[0], r * r)
 
 
 def _with_ridge(flat, lam, r):
@@ -97,22 +105,27 @@ def _with_ridge(flat, lam, r):
     return flat.reshape(-1, r, r) + lam * np.eye(r)
 
 
-def _home_family(W, XW, A, S, lam):
-    """lam*I + W_(1) @ rows(z z^T) and XW_(1) @ Z, with Z = khatri_rao(A, S)."""
-    Z = khatri_rao(A, S)
-    return _with_ridge(W @ _outer_rows(Z), lam, A.shape[1]), XW @ Z
+def _home_family(W, XW, Z, lam):
+    """lam*I + W_(1) @ rows(z z^T) and XW_(1) @ Z over the observed columns,
+    with Z the matching rows of khatri_rao(A, S)."""
+    return _with_ridge(W @ _outer_rows(Z), lam, Z.shape[1]), XW @ Z
 
 
-def _home_contractions(W, XW, H, N):
-    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)), reshaped to
-    (r*r, N, T) and (r, N, T).
+def _home_contractions(W, XW, cols, H, N, T):
+    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)), scattered from the
+    observed columns into zero (r*r, N, T) and (r, N, T) arrays.
 
     Both depend on H alone, so the appliance and season updates of one
     sweep share them.
     """
-    r = H.shape[1]
-    return ((_outer_rows(H).T @ W).reshape(r * r, N, -1),
-            (H.T @ XW).reshape(r, N, -1))
+    M, r = H.shape
+    Ht = np.ascontiguousarray(H.T)
+    V = np.zeros((r * r, N * T))
+    U = np.zeros((r, N * T))
+    # rows(h h^T)^T built from H^T: a third of the cost of _outer_rows(H).T
+    V[:, cols] = (Ht[:, None, :] * Ht[None, :, :]).reshape(r * r, M) @ W
+    U[:, cols] = Ht @ XW
+    return V.reshape(r * r, N, T), U.reshape(r, N, T)
 
 
 def _app_family(V, U, S, lam):
@@ -132,9 +145,9 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
     """Build all three families of normal equations from the same factors."""
     omega.check_bounds(tensor)
     H, A, S = factors.H, factors.A, factors.S
-    W, XW = _masked_readings(tensor, omega)
-    hp, hr = _home_family(W, XW, A, S, config.lambda1)
-    V, U = _home_contractions(W, XW, H, len(A))
+    W, XW, cols = masked_readings(tensor, omega)
+    hp, hr = _home_family(W, XW, support_rows(A, S, cols), config.lambda1)
+    V, U = _home_contractions(W, XW, cols, H, len(A), len(S))
     ap, ar = _app_family(V, U, S, config.lambda2)
     sp, sr = _season_family(V, U, A, config.lambda3)
     return SufficientStats(home_precision=hp, home_rhs=hr,
@@ -163,11 +176,13 @@ def _solve_family(precision, rhs, lam: float):
     Every eigenvalue of lambda*I + G lies in [lambda, trace - (r-1)*lambda],
     so when that ratio is within CONDITION_LIMIT the SVD behind
     np.linalg.cond is skipped; otherwise the exact condition decides.
+    Past the guard, r = 1 and r = 2 are solved in closed form (a division,
+    the adjugate over the determinant) and larger r by LAPACK.
     """
     r = precision.shape[-1]
     bound = np.inf
     if lam > 0:
-        traces = np.trace(precision, axis1=-2, axis2=-1)
+        traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
         bound = (traces.max(initial=0.0) - (r - 1) * lam) / lam
     if not (np.isfinite(bound) and bound <= CONDITION_LIMIT):
         conds = np.linalg.cond(precision)
@@ -175,6 +190,17 @@ def _solve_family(precision, rhs, lam: float):
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericalError(f"precision matrix condition {worst:.3e} exceeds "
                                  f"{CONDITION_LIMIT:.0e}")
+    if r == 1:
+        return rhs / precision[:, :, 0]
+    if r == 2:
+        a, b = precision[:, 0, 0], precision[:, 0, 1]
+        c, d = precision[:, 1, 0], precision[:, 1, 1]
+        u, v = rhs[:, 0], rhs[:, 1]
+        x = np.empty_like(rhs)
+        x[:, 0] = d * u - b * v
+        x[:, 1] = a * v - c * u
+        x /= (a * d - b * c)[:, None]
+        return x
     try:
         return np.linalg.solve(precision, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -266,8 +292,10 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     else:
         factors = fresh
 
-    W, XW = _masked_readings(tensor, omega)
+    W, XW, cols = masked_readings(tensor, omega)
     H, A, S = factors.H, factors.A, factors.S
+    N, T = len(A), len(S)
+    Z = support_rows(A, S, cols)
 
     trace = []
     converged = False
@@ -275,11 +303,11 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     for sweep in range(config.max_sweeps):
         sweeps = sweep + 1
         revived = False
-        hp, hr = _home_family(W, XW, A, S, config.lambda1)
+        hp, hr = _home_family(W, XW, Z, config.lambda1)
         H = _project_rows(_solve_family(hp, hr, config.lambda1), P)
         if revivals_allowed:
             revived |= _revive_columns(H, fresh.H)
-        V, U = _home_contractions(W, XW, H, len(A))
+        V, U = _home_contractions(W, XW, cols, H, N, T)
         ap, ar = _app_family(V, U, S, config.lambda2)
         A = _project_rows(_solve_family(ap, ar, config.lambda2), Q)
         if revivals_allowed:
@@ -291,7 +319,9 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
         if revivals_allowed:
             revived |= _revive_columns(S, fresh.S)
 
-        obj = masked_loss(W, XW, H, A, S, config, season_prior)
+        # the objective's rows of khatri_rao(A, S) are the next sweep's
+        Z = support_rows(A, S, cols)
+        obj = masked_loss(W, XW, Z, H, A, S, config, season_prior)
         trace.append(obj)
         if sweep >= 1 and not revived:
             prev = trace[-2]

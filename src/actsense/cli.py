@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data_io, evaluation, simulator
 from .errors import DataFormatError, NumericalError
-from .evaluation import GridSpec, kfold_split, relative_improvement
+from .evaluation import GridSpec, kfold_split, map_tasks, relative_improvement
 from .tensor_core import ModelConfig
 from .uncertainty import ConfidenceParams
 
@@ -267,12 +267,7 @@ def cmd_simulate(args) -> int:
                  "fold": f, "folds": cfg.folds}
         payloads.append((tensor, splits[f], cfg, f, extra, season_prior))
 
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_simulate_fold, payloads))
-    else:
-        results = [_simulate_fold(p) for p in payloads]
+    results = map_tasks(_simulate_fold, payloads, args.jobs)
 
     label = _report_label({"strategy": cfg.strategy, "uncertainty_mode": cfg.mode})
     for f, (report, _) in zip(fold_ids, results):
@@ -383,12 +378,7 @@ def cmd_sweep(args) -> int:
                 for fold in range(cfg.folds):
                     payloads.append((tensor, splits[fold], cfg, strategy, L,
                                      fold, seed))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
-    else:
-        rows = [_sweep_one(p) for p in payloads]
+    rows = map_tasks(_sweep_one, payloads, args.jobs)
 
     _write_csv(args.output, ["strategy", "L", "fold", "seed", "year_rmse"], rows)
     print(f"wrote {len(rows)} sweep rows -> {args.output}")

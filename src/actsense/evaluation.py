@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,6 +139,21 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
     return folds
 
 
+def map_tasks(fn, tasks, jobs: int = 1) -> list:
+    """``[fn(task) for task in tasks]``, in order, over ``jobs`` worker
+    processes when jobs > 1.
+
+    ``fn`` and the tasks cross a process boundary, so ``fn`` must be a
+    top-level function and every task picklable.  The pool uses the
+    platform's default start method; forked workers inherit the parent's
+    logging level.
+    """
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                 base_config: ModelConfig, T: int = 12, seed: int = 0,
                 confidence=None, uncertainty_mode: str = "full",
@@ -158,12 +174,7 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                (p_idx, rank, lam, sigma, L, f_idx, split))
               for p_idx, (rank, lam, sigma, L) in enumerate(grid.points())
               for f_idx, split in enumerate(splits)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_grid_task, packed))
-    else:
-        results = [_run_grid_task(task) for task in packed]
+    results = map_tasks(_run_grid_task, packed, jobs)
 
     points = grid.points()
     rows = []

@@ -303,20 +303,40 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
         season_prior = np.asarray(season_prior, dtype=float)
         if season_prior.shape != factors.S.shape:
             raise ValueError("season_prior shape must match the season factor matrix")
-    W = omega.dense_mask(tensor.readings.shape)
-    return masked_loss(W, tensor.readings * W, factors.H, factors.A, factors.S,
-                       config, season_prior)
+    W, XW, cols = masked_readings(tensor, omega)
+    return masked_loss(W, XW, support_rows(factors.A, factors.S, cols),
+                       factors.H, factors.A, factors.S, config, season_prior)
 
 
-def masked_loss(W, XW, H, A, S, config: ModelConfig,
+def masked_readings(tensor: EnergyTensor, omega: ObservationSet):
+    """(W, XW, cols): the observed columns of the matricized 0/1 mask.
+
+    ``cols`` are the columns j*T + k of the (M, N*T) matricized mask that
+    hold at least one observed cell; ``W`` and ``XW`` = readings * W keep
+    only those columns, shape (M, len(cols)).  Every other column is all
+    zero and adds nothing to any contraction with the mask.
+    """
+    M = tensor.num_homes
+    W = omega.dense_mask(tensor.readings.shape).reshape(M, -1)
+    cols = np.flatnonzero(W.any(axis=0))
+    W = W[:, cols]
+    return W, tensor.readings.reshape(M, -1)[:, cols] * W, cols
+
+
+def support_rows(A, S, cols) -> np.ndarray:
+    """Rows ``cols`` of khatri_rao(A, S): row c is A[c // T] * S[c % T]."""
+    j, k = np.divmod(cols, S.shape[0])
+    return A[j] * S[k]
+
+
+def masked_loss(W, XW, Z, H, A, S, config: ModelConfig,
                 season_prior: np.ndarray | None = None) -> float:
     """The objective of :func:`masked_objective` for factor matrices
-    ``H, A, S``, from a dense 0/1 mask ``W`` and ``XW`` = readings * W,
-    each (M, N, T) or matricized."""
-    M = H.shape[0]
-    resid = H @ khatri_rao(A, S).T
-    resid *= W.reshape(M, -1)
-    resid -= XW.reshape(M, -1)
+    ``H, A, S``, from the observed columns ``W, XW`` of
+    :func:`masked_readings` and ``Z = support_rows(A, S, cols)``."""
+    resid = H @ Z.T
+    resid *= W
+    resid -= XW
     resid = resid.ravel()
     s_term = S if season_prior is None else S - season_prior
     return (float(np.einsum("i,i->", resid, resid))

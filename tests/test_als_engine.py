@@ -41,6 +41,43 @@ def scatter_stats(tensor, omega, factors, lams):
     return out
 
 
+# mask kind -> (seed offset, coverage of a random mask, or None for a fixed one)
+ORACLE_MASKS = {"empty": (0, 0.0), "sparse": (3, 0.3), "dense": (7, 0.7),
+                "full": (10, 1.0), "through_month": (1, None), "one_column": (2, None)}
+
+
+def oracle_case(kind, rank):
+    """(tensor, omega, factors, lambdas) of one oracle case on a 5 x 4 x 6 tensor.
+
+    ``through_month`` is the simulator's pattern at month 3: the aggregate
+    of every home through that month, three installed pairs revealed
+    from the month after their install, and no later month.
+    ``one_column`` observes one (appliance, month) column in two homes.
+    """
+    offset, coverage = ORACLE_MASKS[kind]
+    rng = np.random.default_rng(100 * rank + offset)
+    M, N, T = 5, 4, 6
+    readings = rng.uniform(0.0, 50.0, size=(M, N, T))
+    tensor = EnergyTensor(readings=readings, mask=np.ones((M, N, T), dtype=bool),
+                          appliance_names=tuple(f"a{j}" for j in range(N)))
+    if kind == "through_month":
+        mask = np.zeros((M, N, T), dtype=bool)
+        mask[:, 0, :4] = True
+        for home, app, installed in ((0, 1, 0), (2, 3, 1), (4, 1, 2)):
+            mask[home, app, installed + 1:4] = True
+    elif kind == "one_column":
+        mask = np.zeros((M, N, T), dtype=bool)
+        mask[[1, 3], 2, 4] = True
+    else:
+        # one draw per cell, in C order, even where coverage is 0
+        mask = np.ones((M, N, T), dtype=bool) if coverage == 1.0 \
+            else rng.random((M, N, T)) < coverage
+    omega = ObservationSet.from_triples(np.argwhere(mask))
+    f = LatentFactors(H=rng.random((M, rank)), A=rng.random((N, rank)),
+                      S=rng.random((T, rank)), rank=rank)
+    return tensor, omega, f, (0.7, 1.9, 3.1)
+
+
 class TestAccumulateStats:
     def test_empty_omega_regularizer_seed(self, tiny_tensor):
         cfg = ModelConfig(rank=2, lambda1=1.5, lambda2=2.5, lambda3=3.5)
@@ -94,32 +131,36 @@ class TestAccumulateStats:
                              f, cfg)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    @pytest.mark.parametrize("coverage", [0.0, 0.3, 0.7, 1.0],
-                             ids=["empty", "sparse", "dense", "full"])
-    def test_dense_path_matches_scatter_oracle(self, rank, coverage):
-        rng = np.random.default_rng(100 * rank + int(10 * coverage))
-        M, N, T = 5, 4, 6
-        readings = rng.uniform(0.0, 50.0, size=(M, N, T))
-        tensor = EnergyTensor(readings=readings, mask=np.ones((M, N, T), dtype=bool),
-                              appliance_names=tuple(f"a{j}" for j in range(N)))
-        cells = [(i, j, k) for i in range(M) for j in range(N) for k in range(T)]
-        omega = ObservationSet.from_triples(
-            c for c in cells if coverage == 1.0 or rng.random() < coverage)
-        lams = (0.7, 1.9, 3.1)
+    @pytest.mark.parametrize("kind", list(ORACLE_MASKS))
+    def test_dense_path_matches_scatter_oracle(self, rank, kind):
+        tensor, omega, f, lams = oracle_case(kind, rank)
         cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
-        f = LatentFactors(H=rng.random((M, rank)), A=rng.random((N, rank)),
-                          S=rng.random((T, rank)), rank=rank)
         stats = accumulate_stats(tensor, omega, f, cfg)
         got = (stats.home_precision, stats.home_rhs, stats.app_precision,
                stats.app_rhs, stats.season_precision, stats.season_rhs)
         for g, want in zip(got, scatter_stats(tensor, omega, f, lams)):
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
-        if coverage == 0.0:
+        if kind == "empty":
             for g, lam in zip(got[::2], lams):
                 np.testing.assert_array_equal(g, np.tile(lam * np.eye(rank),
                                                          (len(g), 1, 1)))
             for g in got[1::2]:
                 np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", list(ORACLE_MASKS))
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["plain", "prior"])
+    def test_objective_matches_einsum_oracle(self, rank, kind, with_prior):
+        tensor, omega, f, lams = oracle_case(kind, rank)
+        cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
+        prior = np.random.default_rng(rank).random(f.S.shape) if with_prior else None
+        W = omega.dense_mask(tensor.readings.shape)
+        resid = W * (np.einsum("ir,jr,kr->ijk", f.H, f.A, f.S) - tensor.readings)
+        s_term = f.S if prior is None else f.S - prior
+        want = (np.sum(resid ** 2) + lams[0] * np.sum(f.H ** 2)
+                + lams[1] * np.sum(f.A ** 2) + lams[2] * np.sum(s_term ** 2))
+        got = masked_objective(tensor, omega, f, cfg, season_prior=prior)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_precisions_are_spd_with_ridge_seed(self, tiny_tensor, tiny_omega):
         rng = np.random.default_rng(6)
@@ -211,6 +252,27 @@ class TestSolveFamily:
         stack = np.diag([1.0 + 2.0 * CONDITION_LIMIT, 1.0])[None]
         with pytest.raises(NumericalError):
             _solve_family(stack, np.ones((1, 2)), 1.0)
+        assert len(cond_calls) == 1
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("size", [1, 7, 30, 1000])
+    def test_closed_form_matches_lapack(self, rank, size, cond_calls):
+        rng = np.random.default_rng(10 * size + rank)
+        vecs = rng.normal(size=(size, 5, rank))
+        stack = 0.5 * np.eye(rank) + np.einsum("nar,nas->nrs", vecs, vecs)
+        # solutions in [1, 2], away from zero, so rtol alone can compare them
+        rhs = np.einsum("nrs,ns->nr", stack, rng.uniform(1.0, 2.0, size=(size, rank)))
+        x = _solve_family(stack, rhs, 0.5)
+        assert cond_calls == []
+        np.testing.assert_allclose(x, np.linalg.solve(stack, rhs[..., None])[..., 0],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block", [[[0.0]], [[4.0, 2.0], [2.0, 1.0]]],
+                             ids=["rank1", "rank2"])
+    def test_singular_closed_form_stack_rejected(self, block, cond_calls):
+        stack = np.tile(block, (3, 1, 1))
+        with pytest.raises(NumericalError):
+            _solve_family(stack, np.ones((3, len(block))), 0.0)
         assert len(cond_calls) == 1
 
 

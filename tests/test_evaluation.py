@@ -5,6 +5,7 @@ from actsense import (EnergyTensor, GridSpec, ModelConfig, NumericalError,
                       SyntheticConfig, generate_synthetic, grid_search,
                       kfold_split, mean_rmse,
                       relative_improvement, rmse_appliance_month, year_rmse)
+from actsense.evaluation import map_tasks
 
 
 def _truth(values):
@@ -184,3 +185,14 @@ class TestGridSearch:
         monkeypatch.setattr("actsense.simulator.run", broken_run)
         with pytest.raises(TypeError, match="a bug"):
             grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
+
+
+class TestMapTasks:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_keep_task_order(self, jobs):
+        assert map_tasks(abs, [-3, 1, -2, 0, -5], jobs) == [3, 1, 2, 0, 5]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_errors_propagate(self, jobs):
+        with pytest.raises(ValueError):
+            map_tasks(int, ["1", "not a number"], jobs)

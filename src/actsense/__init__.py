@@ -8,7 +8,7 @@ against random and query-by-committee baselines.
 """
 
 from .als_engine import (FitReport, SufficientStats, accumulate_stats, fit,
-                         project, resolve_caps, solve_block)
+                         resolve_caps)
 from .data_io import (DatasetManifest, SyntheticConfig, generate_synthetic,
                       load_csv, read_report, save_csv, write_report)
 from .errors import DataFormatError, NumericalError
@@ -19,11 +19,9 @@ from .simulator import SimReport, SimState, reveal, run, run_with_state, step_mo
 from .strategies import (CandidatePool, SelectionResult, select_actsense,
                          select_qbc, select_random)
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig,
-                          ObservationSet, hadamard, masked_objective, predict,
-                          triple_product)
-from .uncertainty import (ConfidenceParams, KernelConfig, error_bound,
-                          factor_error_alphas, instant_score,
-                          integrated_uncertainty, invert_stats,
+                          ObservationSet, masked_objective)
+from .uncertainty import (ConfidenceParams, KernelConfig, factor_error_alphas,
+                          instant_score, integrated_uncertainty, invert_stats,
                           sherman_morrison_update, triangle_weight)
 
 __version__ = "0.1.0"
@@ -36,13 +34,13 @@ __all__ = [
     "DatasetManifest", "EnergyTensor", "FitReport", "FoldSplit", "GridSpec",
     "KernelConfig", "LatentFactors", "ModelConfig", "NumericalError",
     "ObservationSet", "SelectionResult", "SimReport", "SimState",
-    "SufficientStats", "SyntheticConfig", "accumulate_stats", "error_bound",
+    "SufficientStats", "SyntheticConfig", "accumulate_stats",
     "factor_error_alphas", "fit", "generate_synthetic", "grid_search",
-    "hadamard", "instant_score", "integrated_uncertainty", "invert_stats",
-    "kfold_split", "load_csv", "masked_objective", "mean_rmse", "predict",
-    "project", "read_report", "relative_improvement", "resolve_caps",
+    "instant_score", "integrated_uncertainty", "invert_stats",
+    "kfold_split", "load_csv", "masked_objective", "mean_rmse",
+    "read_report", "relative_improvement", "resolve_caps",
     "reveal", "rmse_appliance_month", "run", "run_with_state", "save_csv",
     "select_actsense", "select_qbc", "select_random",
-    "sherman_morrison_update", "solve_block", "step_month", "triangle_weight",
-    "triple_product", "write_report", "year_rmse",
+    "sherman_morrison_update", "step_month", "triangle_weight",
+    "write_report", "year_rmse",
 ]

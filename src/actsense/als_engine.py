@@ -155,21 +155,6 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
                            season_precision=sp, season_rhs=sr)
 
 
-def solve_block(precision, rhs, prior_term=None, lambda_for_prior: float = 0.0):
-    """Solve one row subproblem: precision^-1 (rhs + lambda_for_prior * prior)."""
-    precision = np.asarray(precision, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    cond = np.linalg.cond(precision)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NumericalError(f"precision matrix condition {cond:.3e} exceeds "
-                             f"{CONDITION_LIMIT:.0e}")
-    b = rhs if prior_term is None else rhs + lambda_for_prior * np.asarray(prior_term, dtype=float)
-    try:
-        return np.linalg.solve(precision, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(str(exc)) from exc
-
-
 def _solve_family(precision, rhs, lam: float):
     """Solve a stack of lambda*I + G systems, G PSD, behind the condition guard.
 
@@ -207,20 +192,11 @@ def _solve_family(precision, rhs, lam: float):
         raise NumericalError(str(exc)) from exc
 
 
-def project(v, cap: float):
-    """Clamp negatives to zero, then rescale onto the norm-cap ball."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    out = np.maximum(np.asarray(v, dtype=float), 0.0)
-    norm = np.linalg.norm(out)
-    if norm > cap:
-        out = out * (cap / norm)
-    return out
-
-
 def _project_rows(mat, cap):
+    """Clamp negatives to zero, then rescale each row onto the norm-cap ball."""
     out = np.maximum(mat, 0.0)
-    norms = np.linalg.norm(out, axis=1)
+    # einsum row norms: under half the time of np.linalg.norm(axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     scale = np.where(norms > cap, cap / np.where(norms > 0, norms, 1.0), 1.0)
     return out * scale[:, None]
 
@@ -231,7 +207,7 @@ DEAD_COLUMN_RTOL = 1e-5
 def _dead_columns(mat) -> np.ndarray:
     """Columns so small relative to the largest that their component is
     numerically gone (and about to make the next precision singular)."""
-    norms = np.linalg.norm(mat, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", mat, mat))
     peak = norms.max()
     if peak == 0.0:
         return np.ones(mat.shape[1], dtype=bool)
@@ -254,17 +230,6 @@ def _revive_columns(mat, fresh_mat) -> bool:
     return True
 
 
-def _revive_dead_components(factors: LatentFactors, fresh: LatentFactors) -> LatentFactors:
-    """Warm-start variant of the column revival, returning new factors."""
-    H, A, S = factors.H.copy(), factors.A.copy(), factors.S.copy()
-    changed = False
-    for mat, fresh_mat in ((H, fresh.H), (A, fresh.A), (S, fresh.S)):
-        changed |= _revive_columns(mat, fresh_mat)
-    if not changed:
-        return factors
-    return LatentFactors(H=H, A=A, S=S, rank=factors.rank)
-
-
 def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
         season_prior: np.ndarray | None = None,
         warm_start: LatentFactors | None = None):
@@ -284,16 +249,18 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
             raise ValueError("season_prior must be (months, rank)")
     fresh = init_factors(tensor, config, caps)
     revivals_allowed = len(omega) > 0
-    if warm_start is not None:
+    if warm_start is None:
+        H, A, S = fresh.H, fresh.A, fresh.S
+    else:
         if warm_start.rank != config.rank:
             raise ValueError("warm_start rank does not match config.rank")
-        factors = _revive_dead_components(warm_start, fresh) if revivals_allowed \
-            else warm_start
-    else:
-        factors = fresh
+        H, A, S = warm_start.H, warm_start.A, warm_start.S
+        if revivals_allowed:
+            H, A, S = H.copy(), A.copy(), S.copy()
+            for mat, fresh_mat in ((H, fresh.H), (A, fresh.A), (S, fresh.S)):
+                _revive_columns(mat, fresh_mat)
 
     W, XW, cols = masked_readings(tensor, omega)
-    H, A, S = factors.H, factors.A, factors.S
     N, T = len(A), len(S)
     Z = support_rows(A, S, cols)
 

@@ -2,8 +2,8 @@
 
 RMSE is computed per appliance per month over the held-out test homes;
 Mean RMSE averages the breakdown appliances at one month (the aggregate
-pseudo-appliance is excluded); Year RMSE averages Mean RMSE over the 12
-months.
+pseudo-appliance is excluded); Year RMSE averages Mean RMSE over the
+simulated months (12 for a full year).
 """
 
 from __future__ import annotations
@@ -86,18 +86,19 @@ def rmse_appliance_month(predictions: np.ndarray, truth: EnergyTensor,
 
 
 def mean_rmse(rmse_row) -> float:
-    """Average of per-appliance RMSEs at one month (aggregate excluded upstream)."""
+    """Average of per-appliance RMSEs at one month (aggregate excluded
+    upstream), skipping NaN: an appliance no test home has that month."""
     row = np.asarray(list(rmse_row), dtype=float)
     if row.size == 0:
         raise ValueError("cannot average an empty RMSE row")
-    return float(row.mean())
+    return float(np.nanmean(row))
 
 
 def year_rmse(mean_rmse_series) -> float:
-    """Average Mean RMSE over a 12-month series."""
+    """Average Mean RMSE over the simulated months."""
     series = np.asarray(list(mean_rmse_series), dtype=float)
-    if series.size != 12:
-        raise ValueError(f"year_rmse needs 12 monthly values, got {series.size}")
+    if series.size == 0:
+        raise ValueError("cannot average an empty Mean RMSE series")
     return float(series.mean())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import als_engine, strategies, uncertainty
 from .als_engine import SufficientStats
-from .evaluation import FoldSplit, rmse_appliance_month
+from .evaluation import FoldSplit, mean_rmse, rmse_appliance_month, year_rmse
 from .strategies import CandidatePool
 from .tensor_core import EnergyTensor, LatentFactors, ModelConfig, ObservationSet
 from .uncertainty import ConfidenceParams, KernelConfig
@@ -190,15 +190,14 @@ def run_with_state(tensor: EnergyTensor, split: FoldSplit, strategy: str,
 
     names = [tensor.appliance_names[j] for j in tensor.breakdown_indices()]
     rmse_table = {name: [lg["rmse_row"][name] for lg in logs] for name in names}
-    monthly = [float(np.nanmean([lg["rmse_row"][n] for n in names])) for lg in logs]
-    year = float(np.mean(monthly))
+    monthly = [mean_rmse(lg["rmse_row"][n] for n in names) for lg in logs]
+    year = year_rmse(monthly)
 
     val_monthly = None
     val_year = None
     if split.validation_homes:
-        val_monthly = [float(np.nanmean([lg["val_rmse_row"][n] for n in names]))
-                       for lg in logs]
-        val_year = float(np.mean(val_monthly))
+        val_monthly = [mean_rmse(lg["val_rmse_row"][n] for n in names) for lg in logs]
+        val_year = year_rmse(val_monthly)
 
     echo = {
         "strategy": strategy,

@@ -76,9 +76,10 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
                     sequential: bool = False) -> SelectionResult:
     """Top-L pairs by integrated uncertainty.
 
-    ``sequential=True`` re-scores after each pick with rank-one updated
-    precision inverses (experimental; the default scores the whole batch
-    against one fitted model).
+    The default scores the whole batch against one fitted model.
+    ``sequential=True`` picks one pair at a time and, before re-scoring
+    the rest, adds the pick's current-month reading to its home and
+    appliance precisions (a Sherman-Morrison update of the inverses).
     """
     if L <= 0 or len(pool) == 0:
         return SelectionResult(chosen=(), scores=())

@@ -1,4 +1,4 @@
-"""Energy tensor data model and the elementary CP algebra.
+"""Energy tensor data model, CP factors and the masked objective.
 
 The tensor is dense: ``readings`` has shape (homes, appliances, months)
 and a parallel boolean ``mask`` marks which cells exist as ground truth.
@@ -6,7 +6,9 @@ One appliance slice is the per-home monthly bill (the "aggregate"); it
 is always available and by convention sits at index 0 when built by the
 ingestion path.  Which cells the model is allowed to see at a given
 point of a simulation is tracked separately by :class:`ObservationSet`,
-the authoritative index set.
+the authoritative index set.  Cell (i, j, k) of the CP model is
+sum_d H[i, d] A[j, d] S[k, d], computed a matrix at a time through
+:func:`khatri_rao` by :meth:`LatentFactors.reconstruct` and the objective.
 """
 
 from __future__ import annotations
@@ -256,37 +258,9 @@ class ModelConfig:
             raise ValueError("tol must be > 0")
 
 
-# ---------------------------------------------------------------------------
-# elementary CP algebra
-
-
-def triple_product(h, a, s) -> float:
-    """sum_d h_d * a_d * s_d; identical under any pairing with hadamard."""
-    h, a, s = (np.asarray(v, dtype=float) for v in (h, a, s))
-    if not (h.shape == a.shape == s.shape) or h.ndim != 1:
-        raise ValueError("triple_product requires three equal-length vectors")
-    return float(np.dot(h * a, s))
-
-
-def hadamard(u, v) -> np.ndarray:
-    """Element-wise product of two equal-length vectors."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("hadamard requires two equal-length vectors")
-    return u * v
-
-
 def khatri_rao(U, V) -> np.ndarray:
     """Column-wise Kronecker product: row a * len(V) + b is U[a] * V[b]."""
     return (U[:, None, :] * V[None, :, :]).reshape(-1, U.shape[1])
-
-
-def predict(factors: LatentFactors, i: int, j: int, k: int) -> float:
-    """Model estimate of cell (i, j, k) from the factor rows."""
-    M, N, T = factors.H.shape[0], factors.A.shape[0], factors.S.shape[0]
-    if not (0 <= i < M and 0 <= j < N and 0 <= k < T):
-        raise ValueError(f"cell index ({i}, {j}, {k}) out of range")
-    return triple_product(factors.H[i], factors.A[j], factors.S[k])
 
 
 def masked_objective(tensor: EnergyTensor, omega: ObservationSet,

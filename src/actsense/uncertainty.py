@@ -220,24 +220,6 @@ def score_pairs(pairs, t: int, factors: LatentFactors, inv: InvertedStats,
     return total
 
 
-def error_bound(i: int, j: int, k: int, factors: LatentFactors,
-                stats: SufficientStats, cp: ConfidenceParams,
-                config: ModelConfig, t: int) -> float:
-    """Diagnostic bound on |estimate - truth| for cell (i, j, k) at month t.
-
-    Two ellipsoid widths plus geometric tail terms that decay with t.
-    """
-    if cp.caps is None:
-        raise ValueError("caps (P, Q, R) are required for the error bound")
-    P, Q, R = cp.caps
-    q2, q3 = cp.q_rates[1], cp.q_rates[2]
-    e2, e3 = cp.epsilons[1], cp.epsilons[2]
-    widths = instant_score(i, j, factors.S[k], stats, factors, cp)
-    tails = (4.0 * P * Q * R * (q2 + e2) ** (t + 1)
-             + 2.0 * P * Q * R * (q3 + e3) ** (t + 1))
-    return float(widths + tails)
-
-
 def sherman_morrison_update(inv_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Inverse of (A + v v^T) given inv(A), by the rank-one update formula."""
     v = np.asarray(v, dtype=float)

@@ -16,7 +16,8 @@ import pytest
 from actsense import (KernelConfig, ModelConfig, ObservationSet,
                       SyntheticConfig, generate_synthetic, kfold_split,
                       load_csv, relative_improvement, run,
-                      sherman_morrison_update, solve_block, triangle_weight)
+                      sherman_morrison_update, triangle_weight)
+from actsense.als_engine import _solve_family
 
 from test_als_engine import block_gradient_ratio, ridge_oracle
 
@@ -41,7 +42,7 @@ def test_c01_closed_form_matches_least_squares_oracle():
         vals = rng.normal(size=n) * rng.uniform(0.5, 50.0)
         precision = lam * np.eye(r) + vecs.T @ vecs
         rhs = vecs.T @ vals
-        got = solve_block(precision, rhs)
+        got = _solve_family(precision[None], rhs[None], lam)[0]
         want = ridge_oracle(vecs, vals, lam)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert np.allclose(got, want, rtol=1e-8, atol=1e-8)

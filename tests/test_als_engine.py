@@ -5,9 +5,9 @@ import pytest
 
 from actsense import (EnergyTensor, LatentFactors, ModelConfig, NumericalError,
                       ObservationSet, SyntheticConfig, accumulate_stats, fit,
-                      generate_synthetic, masked_objective, project,
-                      resolve_caps, solve_block)
-from actsense.als_engine import CONDITION_LIMIT, _solve_family, init_factors
+                      generate_synthetic, masked_objective, resolve_caps)
+from actsense.als_engine import (CONDITION_LIMIT, _project_rows, _solve_family,
+                                 init_factors)
 
 from conftest import full_omega
 
@@ -176,22 +176,29 @@ class TestAccumulateStats:
             assert (eigs >= lam - 1e-9).all()  # lam*I seed plus PSD accumulation
 
 
+def solve_row(precision, rhs, lam):
+    """One row's ridge update through the production family solve."""
+    return _solve_family(np.asarray(precision, dtype=float)[None],
+                         np.asarray(rhs, dtype=float)[None], lam)[0]
+
+
 class TestSolveBlock:
     def test_identity_solve(self):
-        np.testing.assert_allclose(solve_block(np.eye(2), [5.0, 7.0]), [5.0, 7.0])
+        np.testing.assert_allclose(solve_row(np.eye(2), [5.0, 7.0], 1.0), [5.0, 7.0])
 
     def test_hand_solved_system(self):
-        x = solve_block(np.array([[2.0, 1.0], [1.0, 2.0]]), [6.0, 6.0])
+        x = solve_row(np.array([[2.0, 1.0], [1.0, 2.0]]), [6.0, 6.0], 1.0)
         np.testing.assert_allclose(x, [2.0, 2.0], rtol=1e-14)
 
     def test_prior_only_solve(self):
-        x = solve_block(2.0 * np.eye(2), np.zeros(2), prior_term=[1.0, 1.0],
-                        lambda_for_prior=2.0)
+        # a prior enters the rhs as lambda * prior, as fit adds the season prior
+        lam, prior = 2.0, np.array([1.0, 1.0])
+        x = solve_row(lam * np.eye(2), np.zeros(2) + lam * prior, lam)
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
 
     def test_singular_precision_rejected(self):
         with pytest.raises(NumericalError):
-            solve_block(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])
+            solve_row(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0], 0.0)
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(9)
@@ -203,7 +210,7 @@ class TestSolveBlock:
             vals = rng.normal(size=n)
             precision = lam * np.eye(r) + vecs.T @ vecs
             rhs = vecs.T @ vals
-            np.testing.assert_allclose(solve_block(precision, rhs),
+            np.testing.assert_allclose(solve_row(precision, rhs, lam),
                                        ridge_oracle(vecs, vals, lam),
                                        rtol=1e-8, atol=1e-8)
 
@@ -217,7 +224,7 @@ class TestSolveBlock:
             precision = lam * np.eye(r) + vecs.T @ vecs
             rhs = vecs.T @ vals
             np.testing.assert_allclose(
-                solve_block(precision, rhs, prior_term=prior, lambda_for_prior=lam),
+                solve_row(precision, rhs + lam * prior, lam),
                 ridge_oracle(vecs, vals, lam, prior=prior),
                 rtol=1e-8, atol=1e-8)
 
@@ -278,17 +285,22 @@ class TestSolveFamily:
 
 class TestProject:
     def test_already_feasible(self):
-        np.testing.assert_array_equal(project([3.0, 4.0], 10.0), [3.0, 4.0])
+        np.testing.assert_array_equal(_project_rows(np.array([[3.0, 4.0]]), 10.0),
+                                      [[3.0, 4.0]])
 
     def test_clamp_only(self):
-        np.testing.assert_array_equal(project([-1.0, 2.0], 10.0), [0.0, 2.0])
+        np.testing.assert_array_equal(_project_rows(np.array([[-1.0, 2.0]]), 10.0),
+                                      [[0.0, 2.0]])
 
     def test_rescale(self):
-        np.testing.assert_allclose(project([3.0, 4.0], 1.0), [0.6, 0.8], rtol=1e-14)
+        np.testing.assert_allclose(_project_rows(np.array([[3.0, 4.0]]), 1.0),
+                                   [[0.6, 0.8]], rtol=1e-14)
 
-    def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            project([1.0], 0.0)
+    def test_rows_projected_independently(self):
+        m = np.array([[3.0, 4.0], [-1.0, 2.0], [0.0, 0.0], [-3.0, -4.0]])
+        np.testing.assert_allclose(_project_rows(m, 1.0),
+                                   [[0.6, 0.8], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                                   rtol=1e-14)
 
 
 class TestCapsAndInit:
@@ -470,7 +482,7 @@ def block_gradient_ratio(seed):
                             S=rng.random((T, r)), rank=r)
     stats = accumulate_stats(tensor, omega, factors, cfg)
     i = int(rng.integers(0, M))
-    solved = solve_block(stats.home_precision[i], stats.home_rhs[i])
+    solved = solve_row(stats.home_precision[i], stats.home_rhs[i], cfg.lambda1)
 
     def objective(row):
         H = factors.H.copy()

@@ -56,6 +56,8 @@ class TestAggregates:
         assert mean_rmse([0.0, 0.0]) == 0.0
         assert mean_rmse([10.0]) == 10.0
         assert mean_rmse([10.0, 20.0, 30.0]) == 20.0
+        # an appliance with no test-home ground truth that month reads NaN
+        assert mean_rmse([1.0, np.nan, 3.0]) == 2.0
         with pytest.raises(ValueError):
             mean_rmse([])
 
@@ -64,8 +66,9 @@ class TestAggregates:
         assert year_rmse([0.0] * 11 + [12.0]) == 1.0
         series = list(np.linspace(1, 5, 12))
         assert year_rmse(series) == mean_rmse(series)
+        assert year_rmse([2.0]) == 2.0 and year_rmse([1.0, 2.0, 6.0]) == 3.0
         with pytest.raises(ValueError):
-            year_rmse([1.0] * 11)
+            year_rmse([])
 
     def test_relative_improvement(self):
         assert relative_improvement(100.0, 80.0) == 20.0

@@ -8,6 +8,7 @@ from actsense import (ConfidenceParams, EnergyTensor, KernelConfig,
 from actsense import als_engine
 from actsense.als_engine import SufficientStats
 from actsense.strategies import CandidatePool, committee_variance
+from actsense.uncertainty import InvertedStats, score_pairs
 
 from conftest import full_omega
 
@@ -106,33 +107,67 @@ class TestSelectActsense:
         assert result.scores[1] == pytest.approx(5.0)
         assert result.scores[0] >= result.scores[1]
 
+    @staticmethod
+    def _random_instance(seed, r=2, M=6, N=5, T=8):
+        """Positive factors, SPD precisions, every (home, breakdown appliance)
+        pair and a season prior, all drawn from one seed."""
+        g = np.random.default_rng(seed)
+        factors = LatentFactors(H=g.random((M, r)) + 0.05,
+                                A=g.random((N, r)) + 0.05,
+                                S=g.random((T, r)) + 0.05, rank=r)
+        mats = g.normal(size=(M, r, r))
+        home = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (M, 1, 1))
+        mats = g.normal(size=(N, r, r))
+        app = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (N, 1, 1))
+        stats = SufficientStats(home_precision=home, home_rhs=np.zeros((M, r)),
+                                app_precision=app, app_rhs=np.zeros((N, r)),
+                                season_precision=np.tile(np.eye(r), (T, 1, 1)),
+                                season_rhs=np.zeros((T, r)))
+        pairs = tuple((i, j) for i in range(M) for j in range(1, N))
+        return factors, stats, pairs, g.random((T, r))
+
     def test_argmax_property_on_random_pools(self):
         from actsense import integrated_uncertainty
         rng = np.random.default_rng(20)
         cp = ConfidenceParams()
         kc = KernelConfig(sigma_window=3, horizon=8)
         for seed in range(20):
-            M, N, T, r = 6, 5, 8, 2
-            g = np.random.default_rng(seed)
-            factors = LatentFactors(H=g.random((M, r)) + 0.05,
-                                    A=g.random((N, r)) + 0.05,
-                                    S=g.random((T, r)) + 0.05, rank=r)
-            mats = g.normal(size=(M, r, r))
-            home = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (M, 1, 1))
-            mats = g.normal(size=(N, r, r))
-            app = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (N, 1, 1))
-            stats = SufficientStats(home_precision=home, home_rhs=np.zeros((M, r)),
-                                    app_precision=app, app_rhs=np.zeros((N, r)),
-                                    season_precision=np.tile(np.eye(r), (T, 1, 1)),
-                                    season_rhs=np.zeros((T, r)))
-            pairs = tuple((i, j) for i in range(M) for j in range(1, N))
+            factors, stats, pairs, prior = self._random_instance(seed)
             pool = CandidatePool(pairs=pairs)
-            prior = g.random((T, r))
-            t = int(rng.integers(0, T))
+            t = int(rng.integers(0, 8))
             result = select_actsense(pool, 1, t, factors, stats, prior, cp, kc)
             best = max(integrated_uncertainty(x, y, t, factors, stats, prior, cp, kc)
                        for x, y in pairs)
             assert result.scores[0] == pytest.approx(best, rel=1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_sequential_picks_match_directly_bumped_precisions(self, rank):
+        # oracle: after each pick (x, y), add v v^T to home x's and appliance
+        # y's precision, v the pick's current-month direction, and invert the
+        # bumped stacks directly in place of the Sherman-Morrison update
+        rng = np.random.default_rng(30 + rank)
+        cp = ConfidenceParams()
+        kc = KernelConfig(sigma_window=3, horizon=8)
+        for seed in range(10):
+            factors, stats, pairs, prior = self._random_instance(100 * rank + seed, r=rank)
+            t = int(rng.integers(0, 8))
+            result = select_actsense(CandidatePool(pairs=pairs), 3, t, factors, stats,
+                                     prior, cp, kc, sequential=True)
+            assert len(result.chosen) == 3
+            home = stats.home_precision.copy()
+            app = stats.app_precision.copy()
+            remaining = list(pairs)
+            for pick, score in zip(result.chosen, result.scores):
+                inv = InvertedStats(home=np.linalg.inv(home), app=np.linalg.inv(app))
+                scores = score_pairs(remaining, t, factors, inv, prior, cp, kc)
+                best = int(np.argmax(scores))
+                assert pick == remaining[best]
+                assert score == pytest.approx(scores[best], rel=1e-10)
+                x, y = remaining.pop(best)
+                v_home = factors.A[y] * factors.S[t]
+                v_app = factors.H[x] * factors.S[t]
+                home[x] += np.outer(v_home, v_home)
+                app[y] += np.outer(v_app, v_app)
 
     def test_sequential_mode_returns_distinct_pairs(self):
         pool, factors, stats, prior, cp, kc = self._setup()

@@ -2,77 +2,83 @@ import numpy as np
 import pytest
 
 from actsense import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
-                      hadamard, masked_objective, predict, triple_product)
+                      masked_objective)
+from actsense.tensor_core import khatri_rao
+
+
+def cell(h, a, s):
+    """The one cell of the CP model with home row h, appliance row a and
+    season row s, through LatentFactors.reconstruct."""
+    h, a, s = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (h, a, s))
+    return float(LatentFactors(H=h, A=a, S=s, rank=h.shape[1]).reconstruct()[0, 0, 0])
 
 
 class TestTripleProduct:
+    """A reconstructed cell is sum_d h_d * a_d * s_d."""
+
     def test_single_coordinate_basis(self):
-        assert triple_product([1, 0], [1, 0], [1, 0]) == 1.0
+        assert cell([1, 0], [1, 0], [1, 0]) == 1.0
 
     def test_zero_factor_annihilates(self):
-        assert triple_product([0, 0], [3, 4], [5, 6]) == 0.0
+        assert cell([0, 0], [3, 4], [5, 6]) == 0.0
 
     def test_hand_expansion(self):
-        assert triple_product([1, 2], [3, 4], [5, 6]) == 63.0
+        assert cell([1, 2], [3, 4], [5, 6]) == 63.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            triple_product([1, 2], [3, 4, 5], [6, 7])
+            LatentFactors(H=np.ones((1, 2)), A=np.ones((1, 3)), S=np.ones((1, 2)),
+                          rank=2)
 
     def test_grouping_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             r = rng.integers(1, 6)
             h, a, s = rng.random((3, r)) * 10
-            p = triple_product(h, a, s)
-            assert abs(p - float(np.dot(hadamard(h, a), s))) <= 1e-10
-            assert abs(p - float(np.dot(hadamard(h, s), a))) <= 1e-10
-            assert abs(p - float(np.dot(hadamard(a, s), h))) <= 1e-10
+            p = cell(h, a, s)
+            assert abs(p - float(np.dot(h * a, s))) <= 1e-10
+            assert abs(p - float(np.dot(h * s, a))) <= 1e-10
+            assert abs(p - float(np.dot(a * s, h))) <= 1e-10
 
 
 class TestHadamard:
+    """Row a * len(V) + b of khatri_rao(U, V) is the Hadamard product U[a] * V[b]."""
+
     def test_identity_vector(self):
-        np.testing.assert_array_equal(hadamard([1, 1], [5, 7]), [5.0, 7.0])
+        np.testing.assert_array_equal(khatri_rao(np.array([[1.0, 1.0]]),
+                                                 np.array([[5.0, 7.0]])), [[5.0, 7.0]])
 
     def test_disjoint_supports(self):
-        np.testing.assert_array_equal(hadamard([0, 3], [4, 0]), [0.0, 0.0])
+        np.testing.assert_array_equal(khatri_rao(np.array([[0.0, 3.0]]),
+                                                 np.array([[4.0, 0.0]])), [[0.0, 0.0]])
 
     def test_direct_multiplication(self):
-        np.testing.assert_array_equal(hadamard([2, 3], [4, 5]), [8.0, 15.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard([1], [2, 3])
+        U = np.array([[2.0, 3.0], [1.0, -1.0]])
+        V = np.array([[4.0, 5.0], [0.5, 2.0], [1.0, 0.0]])
+        want = [u * v for u in U for v in V]
+        np.testing.assert_array_equal(khatri_rao(U, V), want)
 
 
 class TestPredict:
     def test_zero_factors(self):
         f = LatentFactors(H=np.zeros((2, 2)), A=np.zeros((3, 2)),
                           S=np.zeros((4, 2)), rank=2)
-        for i in range(2):
-            for j in range(3):
-                for k in range(4):
-                    assert predict(f, i, j, k) == 0.0
+        np.testing.assert_array_equal(f.reconstruct(), np.zeros((2, 3, 4)))
 
     def test_rank_one_scalar(self):
         f = LatentFactors(H=np.array([[2.0]]), A=np.array([[3.0]]),
                           S=np.array([[4.0]]), rank=1)
-        assert predict(f, 0, 0, 0) == 24.0
+        np.testing.assert_array_equal(f.reconstruct(), [[[24.0]]])
 
     def test_matches_triple_product(self):
         rng = np.random.default_rng(11)
         f = LatentFactors(H=rng.random((5, 3)), A=rng.random((4, 3)),
                           S=rng.random((6, 3)), rank=3)
+        full = f.reconstruct()
         for _ in range(100):
             i, j, k = rng.integers(0, 5), rng.integers(0, 4), rng.integers(0, 6)
-            expected = triple_product(f.H[i], f.A[j], f.S[k])
-            assert predict(f, int(i), int(j), int(k)) == pytest.approx(expected, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        f = LatentFactors(H=np.ones((2, 1)), A=np.ones((2, 1)),
-                          S=np.ones((2, 1)), rank=1)
-        with pytest.raises(ValueError):
-            predict(f, 2, 0, 0)
+            expected = float(np.dot(f.H[i] * f.A[j], f.S[k]))
+            assert full[i, j, k] == pytest.approx(expected, abs=1e-12)
 
 
 def _tensor_1home(value=24.0):
@@ -250,5 +256,7 @@ class TestModelConfig:
             ModelConfig(lambda1=-1.0)
         with pytest.raises(ValueError):
             ModelConfig(norm_caps=(1.0, -2.0, 3.0))
+        with pytest.raises(ValueError):
+            ModelConfig(norm_caps=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             ModelConfig(tol=0.0)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from actsense import (ConfidenceParams, KernelConfig, LatentFactors,
-                      ModelConfig, NumericalError, error_bound,
-                      factor_error_alphas, instant_score, integrated_uncertainty,
-                      invert_stats, sherman_morrison_update, triangle_weight)
+                      ModelConfig, NumericalError, factor_error_alphas,
+                      instant_score, integrated_uncertainty, invert_stats,
+                      sherman_morrison_update, triangle_weight)
 from actsense.als_engine import CONDITION_LIMIT, SufficientStats
 from actsense.uncertainty import score_pairs
 
@@ -249,39 +249,6 @@ class TestIntegratedUncertainty:
         u1 = integrated_uncertainty(1, 2, 5, factors, stats, prior, cp1, kc)
         u3 = integrated_uncertainty(1, 2, 5, factors, stats, prior, cp3, kc)
         assert u3 == pytest.approx(3.0 * u1, rel=1e-12)
-
-
-class TestErrorBound:
-    def test_zero_factors_leave_only_tails(self):
-        r = 2
-        factors = LatentFactors(H=np.zeros((2, r)), A=np.zeros((2, r)),
-                                S=np.zeros((3, r)), rank=r)
-        stats = stats_with(np.eye(r), np.eye(r), n_homes=2, n_apps=2)
-        cp = ConfidenceParams(q_rates=(0.3, 0.3, 0.3), epsilons=(0.1, 0.1, 0.1),
-                              caps=(2.0, 3.0, 4.0))
-        cfg = ModelConfig(rank=r)
-        t = 4
-        expected = 4 * 24.0 * 0.4 ** (t + 1) + 2 * 24.0 * 0.4 ** (t + 1)
-        assert error_bound(0, 0, 1, factors, stats, cp, cfg, t) == pytest.approx(expected)
-
-    def test_tails_vanish_with_time(self):
-        factors, stats, _ = _scoring_setup(seed=9)
-        cp = ConfidenceParams(q_rates=(0.3, 0.3, 0.3), epsilons=(0.1, 0.1, 0.1),
-                              caps=(2.0, 3.0, 4.0))
-        cfg = ModelConfig(rank=2)
-        widths = instant_score(0, 1, factors.S[2], stats, factors, cp)
-        late = error_bound(0, 1, 2, factors, stats, cp, cfg, t=4000)
-        assert late == pytest.approx(widths, rel=1e-12)
-
-    def test_nonnegative_on_random_instances(self):
-        rng = np.random.default_rng(10)
-        cp = ConfidenceParams(q_rates=(0.4, 0.4, 0.4), epsilons=(0.05, 0.05, 0.05),
-                              caps=(1.0, 1.0, 1.0))
-        cfg = ModelConfig(rank=2)
-        for seed in range(1000):
-            factors, stats, _ = _scoring_setup(seed=seed, T=3)
-            t = int(rng.integers(0, 40))
-            assert error_bound(0, 1, 2, factors, stats, cp, cfg, t) >= 0.0
 
 
 class TestShermanMorrison:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import logging
 import os
 import sys
@@ -24,11 +25,9 @@ import numpy as np
 from . import data_io, evaluation, simulator
 from .errors import DataFormatError, NumericalError
 from .evaluation import GridSpec, kfold_split, map_tasks, relative_improvement
+from .strategies import STRATEGY_NAMES
 from .tensor_core import ModelConfig
-from .uncertainty import ConfidenceParams
-
-log = logging.getLogger(__name__)
-
+from .uncertainty import MODES, ConfidenceParams, KernelConfig
 
 class UsageError(Exception):
     """Bad flag values or config keys; maps to exit code 1."""
@@ -41,46 +40,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_list(text: str) -> list:
-    """Parse "1,3,5" and "1..20" (inclusive) forms, mixed by commas."""
-    out = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(token))
-    if not out:
-        raise UsageError(f"empty integer list {text!r}")
-    return out
+def _defaults(fn) -> dict:
+    """Parameter defaults of ``fn``, so that the CLI restates none."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
 
-def _float_list(text: str) -> list:
-    out = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    if not out:
-        raise UsageError(f"empty number list {text!r}")
-    return out
+def _list_of(item):
+    """Parser of comma-separated ``item`` values; an integer token may also
+    be an inclusive range such as "1..20"."""
+    def parse(text):
+        out = []
+        for token in filter(None, (t.strip() for t in str(text).split(","))):
+            if item is int and ".." in token:
+                lo, hi = token.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(item(token))
+        if not out:
+            raise ValueError(f"empty list {text!r}")
+        return tuple(out)
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
-_CONFIG_FIELDS = {
-    "strategy": str, "rank": int, "lambda": float, "lambda1": float,
-    "lambda2": float, "lambda3": float, "sigma": int, "horizon": int,
-    "alpha": float, "alpha_home": float, "alpha_app": float, "L": int,
-    "T": int, "folds": int, "val_fraction": float, "seed": int,
-    "mode": str, "committee": str, "min_coverage": float,
-    "max_sweeps": int, "tol": float, "sequential": bool,
-}
+def _one_of(choices):
+    def parse(text):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not one of {', '.join(choices)}")
+        return text
+    parse.__name__, parse.metavar = "name", "{" + ",".join(choices) + "}"
+    return parse
 
-_DEFAULTS = {
-    "strategy": "actsense", "rank": 2, "lambda": 5000.0, "lambda1": None,
-    "lambda2": None, "lambda3": None, "sigma": 3, "horizon": 12,
-    "alpha": 0.1, "alpha_home": None, "alpha_app": None, "L": 5, "T": 12,
-    "folds": 5, "val_fraction": 0.2, "seed": None, "mode": "full",
-    "committee": "1,2,3,4", "min_coverage": 0.8, "max_sweeps": 100,
-    "tol": 1e-6, "sequential": False,
+
+def _yes_no(text) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected yes or no, got {text!r}")
+    return word in ("1", "true", "yes")
+
+
+_MODEL, _KERNEL, _CONFIDENCE = ModelConfig(), KernelConfig(), ConfidenceParams()
+_SPLIT, _LOAD, _RUN = (_defaults(fn) for fn in (kfold_split, data_io.load_csv,
+                                                 simulator.run_with_state))
+
+# Every run option: key -> (parser, default).  Config-file values and the
+# matching flags go through the same parser.  Unset lambda1..3 and
+# alpha_home/alpha_app take the value of lambda and alpha.
+_OPTIONS = {
+    "strategy": (_one_of(STRATEGY_NAMES), "actsense"),
+    "rank": (int, _MODEL.rank),
+    "lambda": (float, _MODEL.lambda1),
+    "lambda1": (float, None), "lambda2": (float, None), "lambda3": (float, None),
+    "sigma": (int, _KERNEL.sigma_window),
+    "horizon": (int, _KERNEL.horizon),
+    "alpha": (float, _CONFIDENCE.alpha_home),
+    "alpha_home": (float, None), "alpha_app": (float, None),
+    "L": (int, 5),
+    "T": (int, 12),
+    "folds": (int, _SPLIT["k"]),
+    "val_fraction": (float, _SPLIT["val_fraction"]),
+    "seed": (int, None),
+    "mode": (_one_of(MODES), _RUN["uncertainty_mode"]),
+    "committee": (_list_of(int), _RUN["committee_ranks"]),
+    "min_coverage": (float, _LOAD["min_coverage"]),
+    "max_sweeps": (int, _MODEL.max_sweeps),
+    "tol": (float, _MODEL.tol),
+    "sequential": (_yes_no, _RUN["sequential"]),
 }
 
 
@@ -94,14 +120,12 @@ def _parse_config_file(path) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
+            if key not in _OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = _CONFIG_FIELDS[key]
             try:
-                values[key] = raw.lower() in ("1", "true", "yes") if caster is bool \
-                    else caster(raw)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from None
+                values[key] = _OPTIONS[key][0](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -132,56 +156,35 @@ class CliConfig:
 
     @classmethod
     def resolve(cls, args) -> "CliConfig":
-        merged = dict(_DEFAULTS)
-        config_path = getattr(args, "config", None)
-        if config_path:
-            merged.update(_parse_config_file(config_path))
-        for key in _CONFIG_FIELDS:
-            flag = getattr(args, key, None)
-            if flag is not None and flag is not False:
-                merged[key] = flag
+        merged = {key: default for key, (_, default) in _OPTIONS.items()}
+        if getattr(args, "config", None):
+            merged.update(_parse_config_file(args.config))
+        merged.update({key: getattr(args, key) for key in _OPTIONS
+                       if getattr(args, key, None) is not None})
         if merged["seed"] is None:
-            env = os.environ.get("ACTSENSE_SEED")
-            merged["seed"] = int(env) if env else 0
-        lam = merged["lambda"]
-        resolved = cls(
-            strategy=merged["strategy"],
-            rank=int(merged["rank"]),
-            lambda1=float(lam if merged["lambda1"] is None else merged["lambda1"]),
-            lambda2=float(lam if merged["lambda2"] is None else merged["lambda2"]),
-            lambda3=float(lam if merged["lambda3"] is None else merged["lambda3"]),
-            sigma=int(merged["sigma"]),
-            horizon=int(merged["horizon"]),
-            alpha_home=float(merged["alpha"] if merged["alpha_home"] is None
-                             else merged["alpha_home"]),
-            alpha_app=float(merged["alpha"] if merged["alpha_app"] is None
-                            else merged["alpha_app"]),
-            L=int(merged["L"]),
-            T=int(merged["T"]),
-            folds=int(merged["folds"]),
-            val_fraction=float(merged["val_fraction"]),
-            seed=int(merged["seed"]),
-            mode=merged["mode"],
-            committee=tuple(_int_list(merged["committee"])),
-            min_coverage=float(merged["min_coverage"]),
-            max_sweeps=int(merged["max_sweeps"]),
-            tol=float(merged["tol"]),
-            sequential=bool(merged["sequential"]),
-        )
+            merged["seed"] = int(os.environ.get("ACTSENSE_SEED") or 0)
+        lam, alpha = merged.pop("lambda"), merged.pop("alpha")
+        for key in ("lambda1", "lambda2", "lambda3"):
+            merged[key] = lam if merged[key] is None else merged[key]
+        for key in ("alpha_home", "alpha_app"):
+            merged[key] = alpha if merged[key] is None else merged[key]
+        resolved = cls(**merged)
         if resolved.L < 0 or resolved.T < 1 or resolved.folds < 2:
             raise UsageError("need L >= 0, T >= 1 and folds >= 2")
-        if resolved.mode not in ("full", "current", "current_future"):
-            raise UsageError(f"unknown uncertainty mode {resolved.mode!r}")
         return resolved
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(rank=self.rank, lambda1=self.lambda1,
-                           lambda2=self.lambda2, lambda3=self.lambda3,
-                           max_sweeps=self.max_sweeps, tol=self.tol,
-                           seed=self.seed)
-
-    def confidence(self) -> ConfidenceParams:
-        return ConfidenceParams(alpha_home=self.alpha_home, alpha_app=self.alpha_app)
+    def run_kwargs(self) -> dict:
+        """Keyword arguments of ``simulator.run``/``run_with_state``."""
+        model = ModelConfig(rank=self.rank, lambda1=self.lambda1,
+                            lambda2=self.lambda2, lambda3=self.lambda3,
+                            max_sweeps=self.max_sweeps, tol=self.tol, seed=self.seed)
+        return dict(
+            L=self.L, T=self.T, model_config=model, seed=self.seed,
+            confidence=ConfidenceParams(alpha_home=self.alpha_home,
+                                        alpha_app=self.alpha_app),
+            kernel_config_kwargs={"sigma_window": self.sigma, "horizon": self.horizon},
+            uncertainty_mode=self.mode, committee_ranks=self.committee,
+            sequential=self.sequential)
 
 
 def _write_csv(path, fieldnames, rows) -> None:
@@ -234,14 +237,10 @@ def cmd_generate(args) -> int:
 
 def _simulate_fold(payload):
     """(report, fitted season factors of the last month) of one fold."""
-    (tensor, split, cfg, fold_index, extra, season_prior) = payload
+    (tensor, split, cfg, extra, season_prior) = payload
     report, state = simulator.run_with_state(
-        tensor, split, cfg.strategy, L=cfg.L, T=cfg.T,
-        model_config=cfg.model_config(), confidence=cfg.confidence(),
-        kernel_config_kwargs={"sigma_window": cfg.sigma, "horizon": cfg.horizon},
-        seed=cfg.seed, season_prior=season_prior, uncertainty_mode=cfg.mode,
-        committee_ranks=cfg.committee, sequential=cfg.sequential,
-        extra_config=extra)
+        tensor, split, cfg.strategy, season_prior=season_prior,
+        extra_config=extra, **cfg.run_kwargs())
     return report, state.factors.S
 
 
@@ -265,7 +264,7 @@ def cmd_simulate(args) -> int:
     for f in fold_ids:
         extra = {"data": str(args.data), "checksum": manifest.checksum,
                  "fold": f, "folds": cfg.folds}
-        payloads.append((tensor, splits[f], cfg, f, extra, season_prior))
+        payloads.append((tensor, splits[f], cfg, extra, season_prior))
 
     results = map_tasks(_simulate_fold, payloads, args.jobs)
 
@@ -349,41 +348,32 @@ def cmd_compare(args) -> int:
 
 
 def _sweep_one(payload):
-    (tensor, split, cfg, strategy, L, fold, seed) = payload
-    report = simulator.run(
-        tensor, split, strategy, L=L, T=cfg.T, model_config=cfg.model_config(),
-        confidence=cfg.confidence(),
-        kernel_config_kwargs={"sigma_window": cfg.sigma, "horizon": cfg.horizon},
-        seed=seed, uncertainty_mode=cfg.mode, committee_ranks=cfg.committee)
-    return {"strategy": strategy, "L": L, "fold": fold, "seed": seed,
+    (tensor, split, cfg, strategy, fold, seed) = payload
+    report = simulator.run(tensor, split, strategy,
+                           **{**cfg.run_kwargs(), "seed": seed})
+    return {"strategy": strategy, "L": cfg.L, "fold": fold, "seed": seed,
             "year_rmse": report.year_rmse}
 
 
 def cmd_sweep(args) -> int:
     cfg = CliConfig.resolve(args)
     tensor, _ = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
-    strategies_list = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies_list:
-        if s not in ("actsense", "random", "qbc"):
-            raise UsageError(f"unknown strategy {s!r}")
-    L_values = _int_list(args.L_list)
-    seeds = _int_list(args.seeds) if args.seeds else [cfg.seed]
 
     payloads = []
-    for seed in seeds:
+    for seed in args.seeds or [cfg.seed]:
         splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                              val_fraction=cfg.val_fraction, seed=seed)
-        for strategy in strategies_list:
-            for L in L_values:
+        for strategy in args.strategies:
+            for L in args.L_list:
                 for fold in range(cfg.folds):
-                    payloads.append((tensor, splits[fold], cfg, strategy, L,
-                                     fold, seed))
+                    payloads.append((tensor, splits[fold], replace(cfg, L=L),
+                                     strategy, fold, seed))
     rows = map_tasks(_sweep_one, payloads, args.jobs)
 
     _write_csv(args.output, ["strategy", "L", "fold", "seed", "year_rmse"], rows)
     print(f"wrote {len(rows)} sweep rows -> {args.output}")
 
-    for strategy in strategies_list:
+    for strategy in args.strategies:
         by_L = {}
         for row in rows:
             if row["strategy"] == strategy:
@@ -403,16 +393,18 @@ def cmd_sweep(args) -> int:
 def cmd_gridsearch(args) -> int:
     cfg = CliConfig.resolve(args)
     tensor, _ = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
-    grid = GridSpec(ranks=tuple(_int_list(args.ranks)),
-                    lambdas=tuple(_float_list(args.lambdas)),
-                    sigmas=tuple(_int_list(args.sigmas)),
-                    L_values=tuple(_int_list(args.L_list)))
+    grid = GridSpec(ranks=args.ranks, lambdas=args.lambdas, sigmas=args.sigmas,
+                    L_values=args.L_list)
     splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                          val_fraction=cfg.val_fraction, seed=cfg.seed)
+    if not all(split.validation_homes for split in splits):
+        raise UsageError("gridsearch scores grid points on validation homes; "
+                         "set val_fraction > 0")
+    run_kwargs = cfg.run_kwargs()
+    del run_kwargs["L"]  # each grid point sets its own budget
     best, rows = evaluation.grid_search(
-        tensor, splits, grid, cfg.strategy, cfg.model_config(), T=cfg.T,
-        seed=cfg.seed, confidence=cfg.confidence(), uncertainty_mode=cfg.mode,
-        committee_ranks=cfg.committee, horizon=cfg.horizon, jobs=args.jobs)
+        tensor, splits, grid, cfg.strategy, run_kwargs.pop("model_config"),
+        jobs=args.jobs, **run_kwargs)
     _write_csv(args.output, ["strategy", "rank", "lambda", "sigma", "L",
                              "fold", "year_rmse_val", "year_rmse_test"], rows)
     if best is None:
@@ -458,33 +450,26 @@ def _build_parser() -> _Parser:
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
+    def _option(p, *keys):
+        """Flags for run options; unset flags stay None, so the config file
+        and the defaults in _OPTIONS fill them."""
+        for key in keys:
+            parse = _OPTIONS[key][0]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                           metavar=getattr(parse, "metavar", None))
+
     def _shared(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--lambda", dest="lambda", type=float, default=None)
-        p.add_argument("--sigma", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--T", type=int, default=None)
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=("full", "current", "current_future"),
-                       default=None)
-        p.add_argument("--committee", default=None)
-        p.add_argument("--min-coverage", dest="min_coverage", type=float,
-                       default=None)
-        p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        _option(p, "rank", "lambda", "sigma", "horizon", "alpha", "T", "folds",
+                "seed", "mode", "committee", "min_coverage", "max_sweeps", "tol")
         p.add_argument("--jobs", type=int, default=1)
 
     sim = sub.add_parser("simulate", help="run the monthly deployment loop")
     sim.add_argument("--data", required=True)
-    sim.add_argument("--strategy", choices=("actsense", "random", "qbc"),
-                     default=None)
-    sim.add_argument("--L", type=int, default=None)
+    _option(sim, "strategy", "L")
     sim.add_argument("--fold", type=int, default=None,
                      help="run a single fold instead of all")
-    sim.add_argument("--sequential", action="store_true", default=False)
+    sim.add_argument("--sequential", action="store_true", default=None)
     sim.add_argument("--season-prior", default=None,
                      help="CSV of season factor rows from an earlier year")
     sim.add_argument("--save-season", default=None,
@@ -502,22 +487,25 @@ def _build_parser() -> _Parser:
 
     swp = sub.add_parser("sweep", help="year RMSE versus monthly budget L")
     swp.add_argument("--data", required=True)
-    swp.add_argument("--strategies", default="actsense,random")
-    swp.add_argument("--L", dest="L_list", required=True,
+    swp.add_argument("--strategies", type=_list_of(_OPTIONS["strategy"][0]),
+                     default="actsense,random")
+    swp.add_argument("--L", dest="L_list", type=_list_of(int), required=True,
                      help='budgets, e.g. "1..20" or "1,5,10"')
-    swp.add_argument("--seeds", default=None, help='e.g. "1,2,3"')
+    swp.add_argument("--seeds", type=_list_of(int), default=None,
+                     help='e.g. "1,2,3"')
     swp.add_argument("-o", "--output", required=True)
     _shared(swp)
     swp.set_defaults(func=cmd_sweep)
 
     grd = sub.add_parser("gridsearch", help="exhaustive hyperparameter search")
     grd.add_argument("--data", required=True)
-    grd.add_argument("--strategy", choices=("actsense", "random", "qbc"),
-                     default=None)
-    grd.add_argument("--ranks", default="1,2,3,4")
-    grd.add_argument("--lambdas", default="5000,8000,10000")
-    grd.add_argument("--sigmas", default="1,3,6,12")
-    grd.add_argument("--L", dest="L_list", default="5")
+    _option(grd, "strategy")
+    axes = GridSpec.default()
+    grd.add_argument("--ranks", type=_list_of(int), default=axes.ranks)
+    grd.add_argument("--lambdas", type=_list_of(float), default=axes.lambdas)
+    grd.add_argument("--sigmas", type=_list_of(int), default=axes.sigmas)
+    grd.add_argument("--L", dest="L_list", type=_list_of(int),
+                     default=axes.L_values)
     grd.add_argument("--best-out", default=None)
     grd.add_argument("-o", "--output", required=True)
     _shared(grd)

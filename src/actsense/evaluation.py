@@ -157,10 +157,12 @@ def map_tasks(fn, tasks, jobs: int = 1) -> list:
 
 def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                 base_config: ModelConfig, T: int = 12, seed: int = 0,
-                confidence=None, uncertainty_mode: str = "full",
-                committee_ranks=(1, 2, 3, 4), horizon: int = 12, jobs: int = 1):
+                jobs: int = 1, **run_kwargs):
     """Evaluate every grid point on every fold; pick the point with the
     lowest fold-averaged validation Year RMSE.
+
+    ``run_kwargs`` go to every ``simulator.run`` call; each grid point sets
+    the budget, the rank, the ridge weights and ``sigma_window`` itself.
 
     Returns (best, rows): ``best`` is the winning point as a dict (None
     when every point failed), ``rows`` one dict per (point, fold) with
@@ -170,8 +172,7 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
     ``seed`` and the fold index only, so different strategies and grid
     points see identical reveal randomness.
     """
-    packed = [(tensor, base_config, strategy, T, seed, horizon, confidence,
-               uncertainty_mode, committee_ranks,
+    packed = [(tensor, base_config, strategy, T, seed, run_kwargs,
                (p_idx, rank, lam, sigma, L, f_idx, split))
               for p_idx, (rank, lam, sigma, L) in enumerate(grid.points())
               for f_idx, split in enumerate(splits)]
@@ -188,39 +189,32 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                      "error": error})
         val_scores.setdefault(p_idx, []).append(val_yr)
 
-    best = None
-    best_score = float("inf")
-    for p_idx in range(len(points)):
-        vals = np.asarray(val_scores.get(p_idx, [float("nan")]), dtype=float)
-        if np.isnan(vals).any():
-            continue
-        score = float(vals.mean())
-        if score < best_score:
-            best_score = score
-            rank, lam, sigma, L = points[p_idx]
-            best = {"strategy": strategy, "rank": rank, "lambda": lam,
-                    "sigma": sigma, "L": L, "year_rmse_val": score}
-    return best, rows
+    means = {p_idx: float(np.asarray(vals, dtype=float).mean())
+             for p_idx, vals in val_scores.items()}
+    scored = [p_idx for p_idx, mean in means.items() if not np.isnan(mean)]
+    if not scored:
+        return None, rows
+    p_best = min(scored, key=means.get)  # the first point on ties
+    rank, lam, sigma, L = points[p_best]
+    return {"strategy": strategy, "rank": rank, "lambda": lam, "sigma": sigma,
+            "L": L, "year_rmse_val": means[p_best]}, rows
 
 
 def _run_grid_task(packed):
     """One (grid point, fold) simulation; top level so that it can cross a
     process boundary."""
-    (tensor, base_config, strategy, T, seed, horizon, confidence,
-     uncertainty_mode, committee_ranks, task) = packed
+    (tensor, base_config, strategy, T, seed, run_kwargs, task) = packed
     from . import simulator
 
     p_idx, rank, lam, sigma, L, f_idx, split = task
     cfg = replace(base_config, rank=int(rank), lambda1=float(lam),
                   lambda2=float(lam), lambda3=float(lam))
+    kernel = {**run_kwargs.get("kernel_config_kwargs", {}), "sigma_window": int(sigma)}
     fold_seed = int(np.random.SeedSequence([int(seed), int(f_idx)]).generate_state(1)[0])
     try:
         report = simulator.run(
             tensor, split, strategy, L=int(L), T=T, model_config=cfg,
-            confidence=confidence,
-            kernel_config_kwargs={"sigma_window": int(sigma), "horizon": int(horizon)},
-            seed=fold_seed, uncertainty_mode=uncertainty_mode,
-            committee_ranks=committee_ranks)
+            seed=fold_seed, **{**run_kwargs, "kernel_config_kwargs": kernel})
         return (p_idx, f_idx, report.val_year_rmse, report.year_rmse, None)
     except (NumericalError, ValueError) as exc:
         log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, exc)

@@ -260,6 +260,9 @@ class ModelConfig:
 
 def khatri_rao(U, V) -> np.ndarray:
     """Column-wise Kronecker product: row a * len(V) + b is U[a] * V[b]."""
+    if U.shape[1] != V.shape[1]:
+        raise ValueError(f"khatri_rao factors differ in columns: "
+                         f"{U.shape[1]} and {V.shape[1]}")
     return (U[:, None, :] * V[None, :, :]).reshape(-1, U.shape[1])
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from actsense import simulator
+from actsense import ConfidenceParams, ModelConfig, data_io, kfold_split, simulator
 from actsense.cli import main
 from actsense.errors import NumericalError
 
@@ -337,6 +338,17 @@ class TestGridsearch:
             assert rc == 0
         assert seen == [4, 4, 12, 12]  # two folds per horizon
 
+    def test_no_validation_homes_is_usage_error(self, dataset, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: ran.append(1))
+        conf = tmp_path / "run.conf"
+        conf.write_text("val_fraction=0\n", encoding="utf-8")
+        table = tmp_path / "grid.csv"
+        rc = main(["gridsearch", "--data", str(dataset), "--config", str(conf),
+                   "--ranks", "2", "--lambdas", "100", "--sigmas", "2",
+                   "--T", "2", "--folds", "2", "-o", str(table)])
+        assert rc == 1 and ran == [] and not table.exists()
+
     def test_parallel_gridsearch_matches_sequential(self, dataset, tmp_path):
         seq, par = tmp_path / "gseq.csv", tmp_path / "gpar.csv"
         argv = ["gridsearch", "--data", str(dataset), "--strategy", "random",
@@ -358,3 +370,121 @@ class TestQbcCli:
         assert rc == 0
         payload = json.loads((outdir / "report_qbc_fold0.json").read_text())
         assert payload["config"]["committee_ranks"] == [1, 2]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("sequential=ture", ["simulate"]),
+    ("strategy=vbv", ["simulate"]),
+    ("committee=1,x", ["simulate"]),
+    ("", ["sweep", "--L", "1,x"]),
+], ids=["config-sequential", "config-strategy", "config-committee", "sweep-L"])
+def test_malformed_values_are_usage_errors(dataset, tmp_path, config, argv):
+    conf = tmp_path / "run.conf"
+    conf.write_text(config + "\n", encoding="utf-8")
+    rc = main([*argv, "--data", str(dataset), "--config", str(conf), "--T", "2",
+               "--folds", "2", "--lambda", "100", "--max-sweeps", "5",
+               "-o", str(tmp_path / "out")])
+    assert rc == 1
+
+
+class TestEveryOptionReachesTheSimulator:
+    """A config file sets every key off its default; each subcommand must
+    hand the resolved values to the simulator."""
+
+    CONFIG = """strategy=qbc
+rank=1
+lambda=7
+lambda1=11
+lambda2=12
+lambda3=13
+sigma=2
+horizon=6
+alpha=0.5
+alpha_home=0.3
+alpha_app=0.4
+L=2
+T=3
+folds=3
+val_fraction=0.4
+seed=5
+mode=current
+committee=1,2
+min_coverage=0.5
+max_sweeps=7
+tol=0.001
+sequential=yes
+"""
+    MODEL = ModelConfig(rank=1, lambda1=11.0, lambda2=12.0, lambda3=13.0,
+                        max_sweeps=7, tol=0.001, seed=5)
+    SHARED = {"T": 3, "confidence": ConfidenceParams(alpha_home=0.3, alpha_app=0.4),
+              "uncertainty_mode": "current", "committee_ranks": (1, 2),
+              "sequential": True}
+
+    class Recorded(Exception):
+        """Stops a run once its simulator arguments are recorded."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise self.Recorded
+
+        real_load = data_io.load_csv
+
+        def load(path, min_coverage):
+            calls.append(("load_csv", min_coverage))
+            return real_load(path, min_coverage=min_coverage)
+
+        monkeypatch.setattr(simulator, "run_with_state", record)
+        monkeypatch.setattr(simulator, "run", record)
+        monkeypatch.setattr(data_io, "load_csv", load)
+        return calls
+
+    def _record(self, dataset, tmp_path, calls, config, *argv):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config, encoding="utf-8")
+        with pytest.raises(self.Recorded):
+            main([*argv, "--data", str(dataset), "--config", str(conf),
+                  "-o", str(tmp_path / "out")])
+        return calls[-1]
+
+    def _run(self, dataset, tmp_path, calls, split_seed, *argv):
+        (tensor, split, strategy), kwargs = self._record(
+            dataset, tmp_path, calls, self.CONFIG, *argv)
+        assert calls[0] == ("load_csv", 0.5)
+        assert split == kfold_split(range(tensor.num_homes), k=3,
+                                    val_fraction=0.4, seed=split_seed)[0]
+        assert {key: kwargs[key] for key in self.SHARED} == self.SHARED
+        return strategy, kwargs
+
+    @pytest.mark.parametrize("argv, strategy, seed", [
+        (["simulate"], "qbc", 5),
+        (["sweep", "--strategies", "random", "--L", "2", "--seeds", "4"], "random", 4),
+    ])
+    def test_simulate_and_sweep(self, dataset, tmp_path, calls, argv, strategy, seed):
+        got_strategy, kwargs = self._run(dataset, tmp_path, calls, seed, *argv)
+        assert got_strategy == strategy
+        assert kwargs["model_config"] == self.MODEL  # revivals reseed from seed=5
+        assert kwargs["kernel_config_kwargs"] == {"sigma_window": 2, "horizon": 6}
+        assert (kwargs["L"], kwargs["seed"]) == (2, seed)
+
+    def test_gridsearch(self, dataset, tmp_path, calls):
+        strategy, kwargs = self._run(
+            dataset, tmp_path, calls, 5, "gridsearch", "--ranks", "3",
+            "--lambdas", "9", "--sigmas", "4", "--L", "1")
+        assert strategy == "qbc"
+        assert kwargs["model_config"] == replace(self.MODEL, rank=3, lambda1=9.0,
+                                                 lambda2=9.0, lambda3=9.0)
+        assert kwargs["kernel_config_kwargs"] == {"sigma_window": 4, "horizon": 6}
+        fold_seed = int(np.random.SeedSequence([5, 0]).generate_state(1)[0])
+        assert (kwargs["L"], kwargs["seed"]) == (1, fold_seed)
+
+    def test_lambda_and_alpha_fill_unset_keys(self, dataset, tmp_path, calls):
+        _, kwargs = self._record(dataset, tmp_path, calls,
+                                 "lambda=7\nlambda2=12\nalpha=0.5\nalpha_app=0.4\n",
+                                 "simulate", "--T", "2", "--folds", "2")
+        model = kwargs["model_config"]
+        assert (model.lambda1, model.lambda2, model.lambda3) == (7.0, 12.0, 7.0)
+        assert kwargs["confidence"] == ConfidenceParams(alpha_home=0.5, alpha_app=0.4)

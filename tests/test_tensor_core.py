@@ -58,6 +58,12 @@ class TestHadamard:
         want = [u * v for u in U for v in V]
         np.testing.assert_array_equal(khatri_rao(U, V), want)
 
+    @pytest.mark.parametrize("u_cols, v_cols", [(1, 2), (2, 1), (2, 3)])
+    def test_column_mismatch(self, u_cols, v_cols):
+        # one single-column factor would broadcast without the check
+        with pytest.raises(ValueError, match="columns"):
+            khatri_rao(np.ones((1, u_cols)), np.ones((1, v_cols)))
+
 
 class TestPredict:
     def test_zero_factors(self):

@@ -22,9 +22,24 @@ and S, season rows contract them over appliances with rows(a a^T) and A.
 Only the columns of W_(1) that hold an observation enter these products
 (tensor_core.masked_readings): a monthly simulation sees no month after
 the current one, so most (appliance, month) columns are empty.  Z keeps
-the matching rows, V and U are scattered back into zero arrays, and the
-objective's residual covers the same columns.  Dropping all-zero columns
-drops only exact zeros, so only the summation order changes.
+the matching rows, V and U are written into the observed columns of
+buffers that stay zero elsewhere for the whole fit, and the objective's
+residual covers the same columns.  Dropping all-zero columns drops only
+exact zeros, so only the summation order changes.
+
+The sweep runs on a member axis: factors are (n, B, R) stacks of B fits
+that share the observations, zero-padded to the largest rank R.  The
+products with W_(1) and XW_(1) above take every member's columns at
+once, and each family is one solve, projection and revival over the
+(n*B, R, R) stack.  The padding's ridge diagonal is lambda (1 where
+lambda is 0) and its rhs is zero, so padded columns solve to exact
+zeros; revival never reseeds them, and each member's dead-column test
+reads its own columns.  Each member keeps its own objective and
+convergence test: a member that reaches tol or its max_sweeps leaves the
+stack with what its own fit would give, and the rest sweep on.  fit is
+the one-member case (every reshape a view, the same products as a lone
+fit); fit_committee fits the members of a query-by-committee baseline in
+one call.
 
 Past the condition guard, rank 1 and rank 2 families are solved in
 closed form (a division; the adjugate over the determinant), which on a
@@ -94,68 +109,101 @@ def init_factors(tensor: EnergyTensor, config: ModelConfig, caps: tuple) -> Late
     return LatentFactors(H=mats[0], A=mats[1], S=mats[2], rank=config.rank)
 
 
+def _stack(mats, R: int) -> np.ndarray:
+    """(n, B, R) stack of B member factor matrices, zero-padded to R columns."""
+    out = np.zeros((len(mats[0]), len(mats), R))
+    for b, m in enumerate(mats):
+        out[:, b, :m.shape[1]] = m
+    return out
+
+
 def _outer_rows(mat):
-    """Row-wise outer products, flattened: (n, r) -> (n, r*r)."""
-    r = mat.shape[1]
-    return (mat[:, :, None] * mat[:, None, :]).reshape(mat.shape[0], r * r)
+    """Row-wise outer products per member, flattened: (n, B, R) -> (n, B*R*R)."""
+    n, B, R = mat.shape
+    return (mat[..., :, None] * mat[..., None, :]).reshape(n, B * R * R)
 
 
-def _with_ridge(flat, lam, r):
-    """(n, r*r) accumulated outer products -> (n, r, r) precisions lam*I + G."""
-    return flat.reshape(-1, r, r) + lam * np.eye(r)
+def _flat(mat):
+    """(n, B, R) -> (n, B*R), a view."""
+    return mat.reshape(mat.shape[0], mat.shape[1] * mat.shape[2])
 
 
-def _home_family(W, XW, Z, lam):
-    """lam*I + W_(1) @ rows(z z^T) and XW_(1) @ Z over the observed columns,
-    with Z the matching rows of khatri_rao(A, S)."""
-    return _with_ridge(W @ _outer_rows(Z), lam, Z.shape[1]), XW @ Z
+def _ridges(lams, active):
+    """Ridge blocks lambda*I of the home, appliance and season families,
+    each flattened like _outer_rows: (3, B*R*R).  A member's padding
+    columns get lambda too (1 where lambda is 0), so they solve to exact
+    zeros."""
+    lams = np.asarray(lams, dtype=float)[:, None, None]
+    diag = np.where(active, lams, np.where(lams > 0, lams, 1.0))
+    return (diag[..., None] * np.eye(active.shape[1])).reshape(3, -1)
 
 
-def _home_contractions(W, XW, cols, H, N, T):
-    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)), scattered from the
-    observed columns into zero (r*r, N, T) and (r, N, T) arrays.
+def _with_ridge(flat, ridge, R):
+    """(n, B*R*R) accumulated outer products -> (n*B, R, R) precisions
+    ridge + G, one per (row, member)."""
+    return (flat + ridge).reshape(-1, R, R)
 
-    Both depend on H alone, so the appliance and season updates of one
-    sweep share them.
+
+def _home_family(W, XW, Z, ridge):
+    """ridge + W_(1) @ rows(z z^T) and XW_(1) @ Z over the observed columns,
+    with Z the matching rows of khatri_rao(A, S), shape (C, B, R)."""
+    return (_with_ridge(W @ _outer_rows(Z), ridge, Z.shape[2]),
+            (XW @ _flat(Z)).reshape(-1, Z.shape[2]))
+
+
+def _contraction_buffers(B, R, N, T):
+    """Zero (B*R*R, N, T) and (B*R, N, T) arrays for _home_contractions."""
+    return np.zeros((B * R * R, N, T)), np.zeros((B * R, N, T))
+
+
+def _home_contractions(W, XW, cols, H, buffers):
+    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)) per member, written
+    into the observed columns of ``buffers`` and returned as them.
+
+    The other columns of the buffers stay zero, so one pair serves every
+    sweep of a fit.  Both depend on H alone, so the appliance and season
+    updates of one sweep share them.
     """
-    M, r = H.shape
-    Ht = np.ascontiguousarray(H.T)
-    V = np.zeros((r * r, N * T))
-    U = np.zeros((r, N * T))
+    M, B, R = H.shape
+    V, U = buffers
     # rows(h h^T)^T built from H^T: a third of the cost of _outer_rows(H).T
-    V[:, cols] = (Ht[:, None, :] * Ht[None, :, :]).reshape(r * r, M) @ W
-    U[:, cols] = Ht @ XW
-    return V.reshape(r * r, N, T), U.reshape(r, N, T)
+    Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
+    V.reshape(len(V), -1)[:, cols] = (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(-1, M) @ W
+    U.reshape(len(U), -1)[:, cols] = Ht.reshape(-1, M) @ XW
+    return V, U
 
 
-def _app_family(V, U, S, lam):
+def _app_family(V, U, S, ridge):
     """Contract V and U over months with rows(s s^T) and S."""
-    return (_with_ridge(np.einsum("qjk,kq->jq", V, _outer_rows(S)), lam, S.shape[1]),
-            np.einsum("pjk,kp->jp", U, S))
+    return (_with_ridge(np.einsum("qjk,kq->jq", V, _outer_rows(S)), ridge, S.shape[2]),
+            np.einsum("pjk,kp->jp", U, _flat(S)).reshape(-1, S.shape[2]))
 
 
-def _season_family(V, U, A, lam):
+def _season_family(V, U, A, ridge):
     """Contract V and U over appliances with rows(a a^T) and A."""
-    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), lam, A.shape[1]),
-            np.einsum("pjk,jp->kp", U, A))
+    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), ridge, A.shape[2]),
+            np.einsum("pjk,jp->kp", U, _flat(A)).reshape(-1, A.shape[2]))
 
 
 def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
                      factors: LatentFactors, config: ModelConfig) -> SufficientStats:
     """Build all three families of normal equations from the same factors."""
     omega.check_bounds(tensor)
-    H, A, S = factors.H, factors.A, factors.S
+    H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
+    ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
+                     np.ones((1, factors.rank), dtype=bool))
     W, XW, cols = masked_readings(tensor, omega)
-    hp, hr = _home_family(W, XW, support_rows(A, S, cols), config.lambda1)
-    V, U = _home_contractions(W, XW, cols, H, len(A), len(S))
-    ap, ar = _app_family(V, U, S, config.lambda2)
-    sp, sr = _season_family(V, U, A, config.lambda3)
+    hp, hr = _home_family(W, XW, support_rows(A, S, cols), ridges[0])
+    V, U = _home_contractions(W, XW, cols, H,
+                              _contraction_buffers(1, factors.rank, len(A), len(S)))
+    ap, ar = _app_family(V, U, S, ridges[1])
+    sp, sr = _season_family(V, U, A, ridges[2])
     return SufficientStats(home_precision=hp, home_rhs=hr,
                            app_precision=ap, app_rhs=ar,
                            season_precision=sp, season_rhs=sr)
 
 
-def _solve_family(precision, rhs, lam: float):
+def _solve_family(precision, rhs, lam: float, ranks=None):
     """Solve a stack of lambda*I + G systems, G PSD, behind the condition guard.
 
     Every eigenvalue of lambda*I + G lies in [lambda, trace - (r-1)*lambda],
@@ -163,6 +211,13 @@ def _solve_family(precision, rhs, lam: float):
     np.linalg.cond is skipped; otherwise the exact condition decides.
     Past the guard, r = 1 and r = 2 are solved in closed form (a division,
     the adjugate over the determinant) and larger r by LAPACK.
+
+    ``ranks`` gives the member ranks of a padded (rows * B, R, R) stack.
+    Padding a member from r to R adds (R-r)*lambda both to its trace and
+    to what the bound subtracts, so its bound is unchanged.  Its exact
+    condition is taken over its own r x r block: the padding's eigenvalue
+    lambda is at most the block's smallest, so the padded matrix's
+    condition can exceed the member's.
     """
     r = precision.shape[-1]
     bound = np.inf
@@ -170,7 +225,12 @@ def _solve_family(precision, rhs, lam: float):
         traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
         bound = (traces.max(initial=0.0) - (r - 1) * lam) / lam
     if not (np.isfinite(bound) and bound <= CONDITION_LIMIT):
-        conds = np.linalg.cond(precision)
+        if ranks is None or min(ranks) == r:
+            conds = np.linalg.cond(precision)
+        else:
+            blocks = precision.reshape(-1, len(ranks), r, r)
+            conds = np.concatenate([np.linalg.cond(blocks[:, b, :k, :k])
+                                    for b, k in enumerate(ranks)])
         worst = float(np.max(conds)) if conds.size else 1.0
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericalError(f"precision matrix condition {worst:.3e} exceeds "
@@ -197,25 +257,31 @@ def _project_rows(mat, cap):
     out = np.maximum(mat, 0.0)
     # einsum row norms: under half the time of np.linalg.norm(axis=1)
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    scale = np.where(norms > cap, cap / np.where(norms > 0, norms, 1.0), 1.0)
-    return out * scale[:, None]
+    # cap / cap is exactly 1: rows within the cap are left as they are
+    return out * (cap / np.maximum(norms, cap))[:, None]
 
 
 DEAD_COLUMN_RTOL = 1e-5
 
 
-def _dead_columns(mat) -> np.ndarray:
-    """Columns so small relative to the largest that their component is
-    numerically gone (and about to make the next precision singular)."""
-    norms = np.sqrt(np.einsum("ij,ij->j", mat, mat))
-    peak = norms.max()
-    if peak == 0.0:
-        return np.ones(mat.shape[1], dtype=bool)
-    return norms <= DEAD_COLUMN_RTOL * peak
+def _dead_columns(mat, active) -> np.ndarray:
+    """(B, R) mask of the columns of an (n, B, R) stack so small relative
+    to their member's largest that their component is numerically gone
+    (and about to make the next precision singular); all of a member's
+    columns when its largest is 0.  Padding columns are zero, so they
+    never raise a member's peak, and ``active`` keeps them from counting
+    as dead."""
+    flat = _flat(mat)
+    norms = np.sqrt(np.einsum("ij,ij->j", flat, flat))
+    if len(active) == 1:  # a lone member fills the stack's width: one peak
+        return (norms <= DEAD_COLUMN_RTOL * norms.max())[None]
+    norms = norms.reshape(active.shape)
+    return active & (norms <= DEAD_COLUMN_RTOL * norms.max(axis=1, keepdims=True))
 
 
-def _revive_columns(mat, fresh_mat) -> bool:
-    """Reseed dead columns in place; True when anything changed.
+def _revive_columns(mat, fresh_mat, active) -> list:
+    """Reseed the dead columns of an (n, B, R) stack in place; returns the
+    positions of the members that had one.
 
     A component with a (near-)zero column in any factor matrix is a
     fixed point of the updates: its rank-1 designs vanish, every solve
@@ -223,11 +289,127 @@ def _revive_columns(mat, fresh_mat) -> bool:
     also drives the precision condition number through the guard.
     Reseeding from the fit's deterministic fresh init breaks the trap.
     """
-    dead = _dead_columns(mat)
-    if not dead.any():
-        return False
-    mat[:, dead] = fresh_mat[:, dead]
-    return True
+    dead = _dead_columns(mat, active)
+    flat_dead = dead.ravel()
+    if not flat_dead.any():
+        return []
+    _flat(mat)[:, flat_dead] = _flat(fresh_mat)[:, flat_dead]
+    return np.flatnonzero(dead.any(axis=1)).tolist()
+
+
+def _member_report(trace, converged: bool, config: ModelConfig) -> FitReport:
+    """The member's FitReport; stopping at the cap logs one INFO line."""
+    if not converged:
+        change = (abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-12)
+                  if len(trace) > 1 else float("nan"))
+        log.info("fit stopped after max_sweeps=%d sweeps without reaching tol=%g; "
+                 "last relative objective change %.3e", len(trace), config.tol, change)
+    return FitReport(sweeps_run=len(trace), objective_trace=tuple(trace),
+                     converged=converged)
+
+
+def _fit_stack(tensor, omega, configs, season_prior=None, warm_start=None):
+    """Sweep every member of ``configs`` in one stack; [(factors, report)].
+
+    ``season_prior`` and ``warm_start`` are :func:`fit`'s, which passes
+    one member.
+    """
+    omega.check_observed(tensor)
+    base = configs[0]
+    shared = [(c.lambda1, c.lambda2, c.lambda3, c.norm_caps) for c in configs]
+    if len(set(shared)) != 1:
+        raise ValueError("committee members must share lambdas and norm_caps")
+    lams = (base.lambda1, base.lambda2, base.lambda3)
+    caps = resolve_caps(tensor, base)
+    ranks = [c.rank for c in configs]
+    R = max(ranks)
+    active = np.arange(R) < np.array(ranks)[:, None]
+    inits = [init_factors(tensor, c, caps) for c in configs]
+    fresh = [_stack([getattr(f, name) for f in inits], R) for name in "HAS"]
+    revivals_allowed = len(omega) > 0
+    if warm_start is None:
+        # never written in place: each sweep revives only the arrays it built
+        H, A, S = fresh
+    else:
+        H, A, S = (_stack([m], R) for m in (warm_start.H, warm_start.A, warm_start.S))
+        if revivals_allowed:
+            for mat, fresh_mat in zip((H, A, S), fresh):
+                _revive_columns(mat, fresh_mat, active)
+    prior = None if season_prior is None else _stack([season_prior], R)
+
+    W, XW, cols = masked_readings(tensor, omega)
+    M, N, T = len(H), len(A), len(S)
+    live = list(range(len(configs)))   # members still sweeping, in stack order
+    live_ranks = ranks
+    ridges = _ridges(lams, active)
+    buffers = _contraction_buffers(len(live), R, N, T)
+    Z = support_rows(A, S, cols)
+    traces = [[] for _ in configs]
+    results = [None] * len(configs)
+    for sweep in range(max(c.max_sweeps for c in configs)):
+        revived = set()   # positions of members with a reseeded column
+        hp, hr = _home_family(W, XW, Z, ridges[0])
+        H = _project_rows(_solve_family(hp, hr, lams[0], live_ranks),
+                          caps[0]).reshape(M, -1, R)
+        if revivals_allowed:
+            revived.update(_revive_columns(H, fresh[0], active))
+        V, U = _home_contractions(W, XW, cols, H, buffers)
+        ap, ar = _app_family(V, U, S, ridges[1])
+        A = _project_rows(_solve_family(ap, ar, lams[1], live_ranks),
+                          caps[1]).reshape(N, -1, R)
+        if revivals_allowed:
+            revived.update(_revive_columns(A, fresh[1], active))
+        sp, sr = _season_family(V, U, A, ridges[2])
+        if prior is not None:
+            sr = sr + lams[2] * prior.reshape(sr.shape)
+        S = _project_rows(_solve_family(sp, sr, lams[2], live_ranks),
+                          caps[2]).reshape(T, -1, R)
+        if revivals_allowed:
+            revived.update(_revive_columns(S, fresh[2], active))
+
+        # the objective's rows of khatri_rao(A, S) are the next sweep's
+        Z = support_rows(A, S, cols)
+        keep = []
+        for pos, b in enumerate(live):
+            cfg, r, trace = configs[b], ranks[b], traces[b]
+            trace.append(masked_loss(
+                W, XW, Z[:, pos, :r], H[:, pos, :r], A[:, pos, :r], S[:, pos, :r],
+                cfg, None if prior is None else prior[:, pos, :r]))
+            converged = (sweep >= 1 and pos not in revived
+                         and abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1e-12))
+            if converged or len(trace) == cfg.max_sweeps:
+                factors = LatentFactors(H=H[:, pos, :r], A=A[:, pos, :r],
+                                        S=S[:, pos, :r], rank=r)
+                results[b] = (factors, _member_report(trace, converged, cfg))
+            else:
+                keep.append(pos)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            # freeze the finished members: sweep only the others from here
+            # on, padded to the largest rank left
+            live = [live[pos] for pos in keep]
+            live_ranks = [ranks[b] for b in live]
+            R = max(live_ranks)
+            H, A, S, Z = (m[:, keep, :R] for m in (H, A, S, Z))
+            fresh = [m[:, keep, :R] for m in fresh]
+            active = active[keep, :R]
+            ridges = _ridges(lams, active)
+            buffers = _contraction_buffers(len(live), R, N, T)
+    return results
+
+
+def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs) -> list:
+    """Fit every config in one stacked call; [(factors, report)] in order.
+
+    The members share the observations, lambdas and norm caps and may
+    differ in rank, seed, ``max_sweeps`` and ``tol``.  Each member's
+    factors, objective trace and report are those of its own cold
+    :func:`fit` up to summation order, which revivals can amplify (ranks
+    below the largest are solved padded, so by LAPACK rather than in
+    closed form).  The sufficient stats are not built.
+    """
+    return _fit_stack(tensor, omega, list(configs))
 
 
 def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
@@ -240,70 +422,11 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     logs one INFO line.  The returned stats are rebuilt from the final
     factors.
     """
-    omega.check_observed(tensor)
-    caps = resolve_caps(tensor, config)
-    P, Q, R = caps
     if season_prior is not None:
         season_prior = np.asarray(season_prior, dtype=float)
         if season_prior.shape != (tensor.num_months, config.rank):
             raise ValueError("season_prior must be (months, rank)")
-    fresh = init_factors(tensor, config, caps)
-    revivals_allowed = len(omega) > 0
-    if warm_start is None:
-        H, A, S = fresh.H, fresh.A, fresh.S
-    else:
-        if warm_start.rank != config.rank:
-            raise ValueError("warm_start rank does not match config.rank")
-        H, A, S = warm_start.H, warm_start.A, warm_start.S
-        if revivals_allowed:
-            H, A, S = H.copy(), A.copy(), S.copy()
-            for mat, fresh_mat in ((H, fresh.H), (A, fresh.A), (S, fresh.S)):
-                _revive_columns(mat, fresh_mat)
-
-    W, XW, cols = masked_readings(tensor, omega)
-    N, T = len(A), len(S)
-    Z = support_rows(A, S, cols)
-
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweep in range(config.max_sweeps):
-        sweeps = sweep + 1
-        revived = False
-        hp, hr = _home_family(W, XW, Z, config.lambda1)
-        H = _project_rows(_solve_family(hp, hr, config.lambda1), P)
-        if revivals_allowed:
-            revived |= _revive_columns(H, fresh.H)
-        V, U = _home_contractions(W, XW, cols, H, N, T)
-        ap, ar = _app_family(V, U, S, config.lambda2)
-        A = _project_rows(_solve_family(ap, ar, config.lambda2), Q)
-        if revivals_allowed:
-            revived |= _revive_columns(A, fresh.A)
-        sp, sr = _season_family(V, U, A, config.lambda3)
-        if season_prior is not None:
-            sr = sr + config.lambda3 * season_prior
-        S = _project_rows(_solve_family(sp, sr, config.lambda3), R)
-        if revivals_allowed:
-            revived |= _revive_columns(S, fresh.S)
-
-        # the objective's rows of khatri_rao(A, S) are the next sweep's
-        Z = support_rows(A, S, cols)
-        obj = masked_loss(W, XW, Z, H, A, S, config, season_prior)
-        trace.append(obj)
-        if sweep >= 1 and not revived:
-            prev = trace[-2]
-            if abs(prev - obj) <= config.tol * max(abs(prev), 1e-12):
-                converged = True
-                break
-
-    if not converged:
-        change = (abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-12)
-                  if len(trace) > 1 else float("nan"))
-        log.info("fit stopped after max_sweeps=%d sweeps without reaching tol=%g; "
-                 "last relative objective change %.3e", sweeps, config.tol, change)
-
-    final = LatentFactors(H=H, A=A, S=S, rank=config.rank)
-    stats = accumulate_stats(tensor, omega, final, config)
-    return final, stats, FitReport(sweeps_run=sweeps, objective_trace=tuple(trace),
-                                   converged=converged)
-
+    if warm_start is not None and warm_start.rank != config.rank:
+        raise ValueError("warm_start rank does not match config.rank")
+    (final, report), = _fit_stack(tensor, omega, [config], season_prior, warm_start)
+    return final, accumulate_stats(tensor, omega, final, config), report

@@ -187,10 +187,18 @@ class CliConfig:
             sequential=self.sequential)
 
 
+def _load_data(args, cfg: CliConfig):
+    """(tensor, manifest) of ``--data``; a ``--T`` past its months is a
+    usage error."""
+    tensor, manifest = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
+    if cfg.T > tensor.num_months:
+        raise UsageError(f"--T {cfg.T} exceeds the {tensor.num_months} months in the data")
+    return tensor, manifest
+
+
 def _write_csv(path, fieldnames, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n",
-                                extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -246,9 +254,7 @@ def _simulate_fold(payload):
 
 def cmd_simulate(args) -> int:
     cfg = CliConfig.resolve(args)
-    tensor, manifest = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
-    if cfg.T > tensor.num_months:
-        raise UsageError(f"--T {cfg.T} exceeds the {tensor.num_months} months in the data")
+    tensor, manifest = _load_data(args, cfg)
     splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                          val_fraction=cfg.val_fraction, seed=cfg.seed)
     fold_ids = [args.fold] if args.fold is not None else list(range(cfg.folds))
@@ -355,15 +361,22 @@ def _sweep_one(payload):
             "year_rmse": report.year_rmse}
 
 
+_SWEEP_STRATEGIES = ("actsense", "random")
+
+
 def cmd_sweep(args) -> int:
     cfg = CliConfig.resolve(args)
-    tensor, _ = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
+    tensor, _ = _load_data(args, cfg)
+    strategies = args.strategies
+    if strategies is None:
+        in_file = bool(args.config) and "strategy" in _parse_config_file(args.config)
+        strategies = (cfg.strategy,) if in_file else _SWEEP_STRATEGIES
 
     payloads = []
     for seed in args.seeds or [cfg.seed]:
         splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                              val_fraction=cfg.val_fraction, seed=seed)
-        for strategy in args.strategies:
+        for strategy in strategies:
             for L in args.L_list:
                 for fold in range(cfg.folds):
                     payloads.append((tensor, splits[fold], replace(cfg, L=L),
@@ -373,7 +386,7 @@ def cmd_sweep(args) -> int:
     _write_csv(args.output, ["strategy", "L", "fold", "seed", "year_rmse"], rows)
     print(f"wrote {len(rows)} sweep rows -> {args.output}")
 
-    for strategy in args.strategies:
+    for strategy in strategies:
         by_L = {}
         for row in rows:
             if row["strategy"] == strategy:
@@ -392,7 +405,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = CliConfig.resolve(args)
-    tensor, _ = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
+    tensor, _ = _load_data(args, cfg)
     grid = GridSpec(ranks=args.ranks, lambdas=args.lambdas, sigmas=args.sigmas,
                     L_values=args.L_list)
     splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
@@ -406,7 +419,7 @@ def cmd_gridsearch(args) -> int:
         tensor, splits, grid, cfg.strategy, run_kwargs.pop("model_config"),
         jobs=args.jobs, **run_kwargs)
     _write_csv(args.output, ["strategy", "rank", "lambda", "sigma", "L",
-                             "fold", "year_rmse_val", "year_rmse_test"], rows)
+                             "fold", "year_rmse_val", "year_rmse_test", "error"], rows)
     if best is None:
         print("every grid point failed; see the table for errors", file=sys.stderr)
         return 2
@@ -488,7 +501,9 @@ def _build_parser() -> _Parser:
     swp = sub.add_parser("sweep", help="year RMSE versus monthly budget L")
     swp.add_argument("--data", required=True)
     swp.add_argument("--strategies", type=_list_of(_OPTIONS["strategy"][0]),
-                     default="actsense,random")
+                     default=None,
+                     help="default: the config file's strategy, else "
+                          + ",".join(_SWEEP_STRATEGIES))
     swp.add_argument("--L", dest="L_list", type=_list_of(int), required=True,
                      help='budgets, e.g. "1..20" or "1,5,10"')
     swp.add_argument("--seeds", type=_list_of(int), default=None,

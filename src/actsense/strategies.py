@@ -143,6 +143,12 @@ def select_qbc(pool: CandidatePool, L: int, tensor: EnergyTensor,
     from the base seed and the rank, so identical ranks give identical
     members) and predicts every pool pair at the current month; pairs
     are ranked by the population variance of those predictions.
+
+    The members are fitted together by one :func:`als_engine.fit_committee`
+    call: their factors ride a member axis, zero-padded to the largest
+    rank, so each sweep's contractions with the observation mask are
+    shared, and a member that converges is frozen at that sweep with the
+    result of its own fit.
     """
     ranks = list(committee_ranks)
     if len(ranks) < 2:
@@ -151,10 +157,11 @@ def select_qbc(pool: CandidatePool, L: int, tensor: EnergyTensor,
         return SelectionResult(chosen=(), scores=())
     xs = np.array([p[0] for p in pool.pairs])
     ys = np.array([p[1] for p in pool.pairs])
+    configs = [replace(base_config, rank=int(rank), seed=_member_seed(seed, rank))
+               for rank in ranks]
+    members = als_engine.fit_committee(tensor, omega, configs)
     preds = np.empty((len(ranks), len(pool)))
-    for m, rank in enumerate(ranks):
-        cfg = replace(base_config, rank=int(rank), seed=_member_seed(seed, rank))
-        factors, _, _ = als_engine.fit(tensor, omega, cfg)
+    for m, (factors, _) in enumerate(members):
         preds[m] = np.einsum("nr,nr->n", factors.H[xs] * factors.A[ys],
                              np.broadcast_to(factors.S[month], (len(pool), factors.rank)))
     return _top_by_score(pool.pairs, committee_variance(preds), L)

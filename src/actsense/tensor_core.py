@@ -317,6 +317,6 @@ def masked_loss(W, XW, Z, H, A, S, config: ModelConfig,
     resid = resid.ravel()
     s_term = S if season_prior is None else S - season_prior
     return (float(np.einsum("i,i->", resid, resid))
-            + config.lambda1 * float(np.sum(H ** 2))
-            + config.lambda2 * float(np.sum(A ** 2))
-            + config.lambda3 * float(np.sum(s_term ** 2)))
+            + config.lambda1 * float((H ** 2).sum())
+            + config.lambda2 * float((A ** 2).sum())
+            + config.lambda3 * float((s_term ** 2).sum()))

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from actsense import (EnergyTensor, LatentFactors, ModelConfig, NumericalError,
                       ObservationSet, SyntheticConfig, accumulate_stats, fit,
                       generate_synthetic, masked_objective, resolve_caps)
+from actsense import als_engine
 from actsense.als_engine import (CONDITION_LIMIT, _project_rows, _solve_family,
-                                 init_factors)
+                                 fit_committee, init_factors)
+from actsense.strategies import _member_seed
 
 from conftest import full_omega
 
@@ -282,6 +285,19 @@ class TestSolveFamily:
             _solve_family(stack, np.ones((3, len(block))), 0.0)
         assert len(cond_calls) == 1
 
+    def test_padded_stack_guard_reads_each_members_own_block(self, cond_calls):
+        # member 0 has rank 1, padded to 2 with lam; its own block is
+        # [[lam + g]] (cond 1), but the padded block has cond (lam + g) / lam
+        lam, g = 1.0, 1.5 * CONDITION_LIMIT
+        stack = np.array([[[lam + g, 0.0], [0.0, lam]], 3.0 * np.eye(2)])
+        rhs = np.array([[2.0, 0.0], [3.0, 6.0]])
+        x = _solve_family(stack, rhs, lam, ranks=[1, 2])
+        assert len(cond_calls) == 2
+        np.testing.assert_allclose(x, [[2.0 / (lam + g), 0.0], [1.0, 2.0]], rtol=1e-14)
+        assert x[0, 1] == 0.0
+        with pytest.raises(NumericalError):
+            _solve_family(stack, rhs, lam)
+
 
 class TestProject:
     def test_already_feasible(self):
@@ -455,6 +471,89 @@ def test_100_sweep_fit_matches_frozen_factors():
                       (factors.S, FROZEN_S)):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
     assert report.objective_trace[-1] == pytest.approx(FROZEN_OBJECTIVE, rel=1e-9)
+
+
+def _committee_instance():
+    """A small instance on which every committee member fits without
+    revivals, so a member sliced from the stack tracks its solo fit."""
+    tensor, _ = generate_synthetic(SyntheticConfig(
+        num_homes=14, num_appliances=5, num_months=7, true_rank=2,
+        noise_sigma=0.05, seed=1))
+    rng = np.random.default_rng(1)
+    M, N, T = tensor.readings.shape
+    omega = ObservationSet.from_triples(
+        (i, j, k) for i in range(M) for j in range(N) for k in range(T - 2)
+        if j == tensor.aggregate_index or rng.random() < 0.2)
+    return tensor, omega
+
+
+def _committee_configs():
+    base = ModelConfig(lambda1=1.0, lambda2=1.0, lambda3=1.0, max_sweeps=150, tol=1e-3)
+    return [replace(base, rank=r, seed=_member_seed(1, r)) for r in (1, 2, 3, 4)]
+
+
+class TestFitCommittee:
+    def test_members_match_their_solo_fits(self, monkeypatch):
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        padding_seen = []
+        real_revive = als_engine._revive_columns
+
+        def checked_revive(mat, fresh_mat, active):
+            # every projected stack passes through here, padding included
+            assert (mat[:, ~active] == 0.0).all()
+            out = real_revive(mat, fresh_mat, active)
+            assert (mat[:, ~active] == 0.0).all()
+            padding_seen.append(int((~active).sum()))
+            return out
+
+        monkeypatch.setattr(als_engine, "_revive_columns", checked_revive)
+        members = fit_committee(tensor, omega, configs)
+        monkeypatch.undo()
+        assert max(padding_seen) == 6  # ranks 1, 2, 3 padded to 4
+        for cfg, (factors, report) in zip(configs, members):
+            solo, _, solo_report = fit(tensor, omega, cfg)
+            assert factors.rank == cfg.rank
+            for got, want in ((factors.H, solo.H), (factors.A, solo.A),
+                              (factors.S, solo.S)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            assert report.sweeps_run == solo_report.sweeps_run
+            assert report.converged == solo_report.converged
+            np.testing.assert_allclose(report.objective_trace,
+                                       solo_report.objective_trace, rtol=1e-9)
+
+    def test_member_frozen_at_its_own_convergence(self):
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        members = fit_committee(tensor, omega, configs)
+        solo = [fit(tensor, omega, cfg)[2] for cfg in configs]
+        sweeps = [report.sweeps_run for _, report in members]
+        assert sweeps == [report.sweeps_run for report in solo]
+        # each member stops at its own sweep, the last ones on a stack
+        # narrowed to the ranks left
+        assert len(set(sweeps)) == 4
+        assert all(report.converged for _, report in members)
+
+    def test_one_info_line_per_capped_member(self, caplog):
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        solo = [fit(tensor, omega, cfg)[2].sweeps_run for cfg in configs]
+        cap = sorted(solo)[1]  # the first two members to converge still do
+        capped = [replace(cfg, max_sweeps=cap) for cfg in configs]
+        with caplog.at_level(logging.INFO, logger="actsense.als_engine"):
+            members = fit_committee(tensor, omega, capped)
+        records = [r for r in caplog.records if r.name == "actsense.als_engine"]
+        n_capped = sum(not report.converged for _, report in members)
+        assert n_capped == sum(s > cap for s in solo) == 2
+        assert len(records) == n_capped
+        assert all(r.levelno == logging.INFO and f"max_sweeps={cap}" in r.getMessage()
+                   for r in records)
+
+    def test_members_share_lambdas(self):
+        tensor, omega = _committee_instance()
+        configs = [ModelConfig(rank=1), ModelConfig(rank=2, lambda2=1.0)]
+        with pytest.raises(ValueError):
+            fit_committee(tensor, omega, configs)
 
 
 def finite_difference_gradient(objective, row, h=1e-6):

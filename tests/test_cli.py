@@ -277,6 +277,21 @@ class TestSweep:
         rows = list(csv.DictReader(out.open()))
         assert {r["L"] for r in rows} == {"1", "2", "3"}
 
+    @pytest.mark.parametrize("config, flags, want", [
+        ("", [], {"actsense", "random"}),
+        ("strategy=qbc\n", [], {"qbc"}),
+        ("strategy=qbc\n", ["--strategies", "random"], {"random"}),
+    ], ids=["default", "config-file", "flag-over-config"])
+    def test_strategy_precedence(self, dataset, tmp_path, config, flags, want):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config, encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--data", str(dataset), "--config", str(conf), *flags,
+                   "--L", "1", "--T", "2", "--folds", "2", "--lambda", "100",
+                   "--max-sweeps", "5", "-o", str(out)])
+        assert rc == 0
+        assert {row["strategy"] for row in csv.DictReader(out.open())} == want
+
     def test_parallel_jobs_match_sequential(self, dataset, tmp_path):
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
         argv = ["sweep", "--data", str(dataset), "--strategies", "random",
@@ -317,7 +332,26 @@ class TestGridsearch:
         rows = list(csv.DictReader(table.open()))
         assert len(rows) == 4  # 2 points x 2 folds
         assert list(rows[0]) == ["strategy", "rank", "lambda", "sigma", "L",
-                                 "fold", "year_rmse_val", "year_rmse_test"]
+                                 "fold", "year_rmse_val", "year_rmse_test", "error"]
+        assert all(row["error"] == "" for row in rows)
+
+    def test_every_point_failing_shows_the_errors(self, dataset, tmp_path,
+                                                   monkeypatch, capsys):
+        def failing_run(*args, **kwargs):
+            raise NumericalError("precision matrix condition 1e+13 exceeds 1e+12")
+
+        monkeypatch.setattr(simulator, "run", failing_run)
+        table = tmp_path / "grid.csv"
+        rc = main(["gridsearch", "--data", str(dataset), "--strategy", "random",
+                   "--ranks", "1,2", "--lambdas", "100", "--sigmas", "2",
+                   "--L", "1", "--T", "2", "--folds", "2", "--seed", "1",
+                   "-o", str(table)])
+        assert rc == 2
+        assert "see the table for errors" in capsys.readouterr().err
+        rows = list(csv.DictReader(table.open()))
+        assert len(rows) == 4
+        assert all(row["error"] == "precision matrix condition 1e+13 exceeds 1e+12"
+                   for row in rows)
 
     def test_horizon_reaches_the_simulations(self, dataset, tmp_path, monkeypatch):
         from actsense import simulator
@@ -385,6 +419,25 @@ def test_malformed_values_are_usage_errors(dataset, tmp_path, config, argv):
                "--folds", "2", "--lambda", "100", "--max-sweeps", "5",
                "-o", str(tmp_path / "out")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "random", "--L", "1"],
+    ["sweep", "--strategies", "random", "--L", "1"],
+    ["gridsearch", "--strategy", "random", "--ranks", "2", "--lambdas", "100",
+     "--sigmas", "2", "--L", "1"],
+], ids=["simulate", "sweep", "gridsearch"])
+def test_horizon_past_the_data_is_usage_error(dataset, tmp_path, argv, capsys,
+                                               monkeypatch):
+    ran = []
+    monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: ran.append(1))
+    monkeypatch.setattr(simulator, "run_with_state",
+                        lambda *args, **kwargs: ran.append(1))
+    out = tmp_path / "out"
+    rc = main([*argv, "--data", str(dataset), "--T", "20", "--folds", "2",
+               "-o", str(out)])
+    assert rc == 1 and ran == [] and not out.exists()
+    assert "--T 20 exceeds the 4 months in the data" in capsys.readouterr().err
 
 
 class TestEveryOptionReachesTheSimulator:

@@ -233,17 +233,22 @@ class TestSelectQbc:
         tensor, omega = self._instance()
         pool = CandidatePool(pairs=((0, 1), (1, 2)))
         calls = []
-        real_fit = als_engine.fit
+        real_fit_committee = als_engine.fit_committee
 
-        def counting_fit(*args, **kwargs):
-            calls.append(args[2].rank)
-            return real_fit(*args, **kwargs)
+        def counting_fit_committee(tensor, omega, configs):
+            calls.append([c.rank for c in configs])
+            return real_fit_committee(tensor, omega, configs)
 
-        monkeypatch.setattr("actsense.strategies.als_engine.fit", counting_fit)
+        def no_solo_fit(*args, **kwargs):
+            raise AssertionError("committee members must not be fitted one by one")
+
+        monkeypatch.setattr("actsense.strategies.als_engine.fit_committee",
+                            counting_fit_committee)
+        monkeypatch.setattr("actsense.strategies.als_engine.fit", no_solo_fit)
         cfg = ModelConfig(rank=2, max_sweeps=5)
         select_qbc(pool, 1, tensor, omega, committee_ranks=[1, 2, 3, 4],
                    base_config=cfg, seed=3, month=1)
-        assert calls == [1, 2, 3, 4]
+        assert calls == [[1, 2, 3, 4]]
 
     def test_deterministic(self):
         tensor, omega = self._instance()

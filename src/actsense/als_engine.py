@@ -34,12 +34,16 @@ once, and each family is one solve, projection and revival over the
 (n*B, R, R) stack.  The padding's ridge diagonal is lambda (1 where
 lambda is 0) and its rhs is zero, so padded columns solve to exact
 zeros; revival never reseeds them, and each member's dead-column test
-reads its own columns.  Each member keeps its own objective and
+reads its own columns.  Each member has its own warm start (or a cold
+start from its seed) and its own season prior (a zero prior where it has
+none, which adds exact zeros).  The objective is one pass over the stack,
+a (B, M, C) residual reduced per member, and each member keeps its own
 convergence test: a member that reaches tol or its max_sweeps leaves the
 stack with what its own fit would give, and the rest sweep on.  fit is
 the one-member case (every reshape a view, the same products as a lone
-fit); fit_committee fits the members of a query-by-committee baseline in
-one call.
+fit).  A query-by-committee month is one fit_committee call: the
+month's warm-started model is member 0, the cold committee members
+follow.
 
 Past the condition guard, rank 1 and rank 2 families are solved in
 closed form (a division; the adjugate over the determinant), which on a
@@ -57,7 +61,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
-                          masked_loss, masked_readings, support_rows)
+                          masked_losses, masked_readings, support_rows)
 
 log = logging.getLogger(__name__)
 
@@ -302,18 +306,49 @@ def _member_report(trace, converged: bool, config: ModelConfig) -> FitReport:
     if not converged:
         change = (abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-12)
                   if len(trace) > 1 else float("nan"))
-        log.info("fit stopped after max_sweeps=%d sweeps without reaching tol=%g; "
-                 "last relative objective change %.3e", len(trace), config.tol, change)
+        log.info("rank-%d fit stopped after max_sweeps=%d sweeps without reaching "
+                 "tol=%g; last relative objective change %.3e",
+                 config.rank, len(trace), config.tol, change)
     return FitReport(sweeps_run=len(trace), objective_trace=tuple(trace),
                      converged=converged)
 
 
-def _fit_stack(tensor, omega, configs, season_prior=None, warm_start=None):
-    """Sweep every member of ``configs`` in one stack; [(factors, report)].
+def _checked_priors(tensor, configs, warm_starts, season_priors) -> list:
+    """The members' season priors as float arrays (None where absent),
+    after checking each prior's shape and each warm start's rank."""
+    priors = []
+    for cfg, warm, prior in zip(configs, warm_starts, season_priors, strict=True):
+        if warm is not None and warm.rank != cfg.rank:
+            raise ValueError("warm_start rank does not match config.rank")
+        if prior is not None:
+            prior = np.asarray(prior, dtype=float)
+            if prior.shape != (tensor.num_months, cfg.rank):
+                raise ValueError("season_prior must be (months, rank)")
+        priors.append(prior)
+    return priors
 
-    ``season_prior`` and ``warm_start`` are :func:`fit`'s, which passes
-    one member.
+
+def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
+                  warm_starts=None, season_priors=None) -> list:
+    """Fit every config in one stacked call; [(factors, report)] in order.
+
+    The members share the observations, lambdas and norm caps and may
+    differ in rank, seed, ``max_sweeps`` and ``tol``.  ``warm_starts``
+    and ``season_priors`` hold one entry per member (None: a cold start
+    from the member's seed, or no prior); None for either list means
+    None for every member.  A member without a prior sweeps with a zero
+    one, which adds lambda * 0 to its season rhs and subtracts 0 in its
+    objective.  Each member's factors, objective trace and report are
+    those of its own :func:`fit` up to summation order, which revivals
+    can amplify (ranks below the largest are solved padded, so by LAPACK
+    rather than in closed form).  The sufficient stats are not built.
     """
+    configs = list(configs)
+    if warm_starts is None:
+        warm_starts = [None] * len(configs)
+    if season_priors is None:
+        season_priors = [None] * len(configs)
+    priors = _checked_priors(tensor, configs, warm_starts, season_priors)
     omega.check_observed(tensor)
     base = configs[0]
     shared = [(c.lambda1, c.lambda2, c.lambda3, c.norm_caps) for c in configs]
@@ -327,15 +362,20 @@ def _fit_stack(tensor, omega, configs, season_prior=None, warm_start=None):
     inits = [init_factors(tensor, c, caps) for c in configs]
     fresh = [_stack([getattr(f, name) for f in inits], R) for name in "HAS"]
     revivals_allowed = len(omega) > 0
-    if warm_start is None:
+    if all(w is None for w in warm_starts):
         # never written in place: each sweep revives only the arrays it built
         H, A, S = fresh
     else:
-        H, A, S = (_stack([m], R) for m in (warm_start.H, warm_start.A, warm_start.S))
+        starts = [f if w is None else w for w, f in zip(warm_starts, inits)]
+        H, A, S = (_stack([getattr(f, name) for f in starts], R) for name in "HAS")
         if revivals_allowed:
+            # a cold member's columns are its fresh init's: reviving them is a no-op
             for mat, fresh_mat in zip((H, A, S), fresh):
                 _revive_columns(mat, fresh_mat, active)
-    prior = None if season_prior is None else _stack([season_prior], R)
+    prior = None
+    if any(p is not None for p in priors):
+        prior = _stack([np.zeros((len(S), c.rank)) if p is None else p
+                        for c, p in zip(configs, priors)], R)
 
     W, XW, cols = masked_readings(tensor, omega)
     M, N, T = len(H), len(A), len(S)
@@ -369,12 +409,11 @@ def _fit_stack(tensor, omega, configs, season_prior=None, warm_start=None):
 
         # the objective's rows of khatri_rao(A, S) are the next sweep's
         Z = support_rows(A, S, cols)
+        losses = masked_losses(W, XW, Z, H, A, S, base, prior)
         keep = []
         for pos, b in enumerate(live):
             cfg, r, trace = configs[b], ranks[b], traces[b]
-            trace.append(masked_loss(
-                W, XW, Z[:, pos, :r], H[:, pos, :r], A[:, pos, :r], S[:, pos, :r],
-                cfg, None if prior is None else prior[:, pos, :r]))
+            trace.append(float(losses[pos]))
             converged = (sweep >= 1 and pos not in revived
                          and abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1e-12))
             if converged or len(trace) == cfg.max_sweeps:
@@ -393,23 +432,12 @@ def _fit_stack(tensor, omega, configs, season_prior=None, warm_start=None):
             R = max(live_ranks)
             H, A, S, Z = (m[:, keep, :R] for m in (H, A, S, Z))
             fresh = [m[:, keep, :R] for m in fresh]
+            if prior is not None:
+                prior = prior[:, keep, :R]
             active = active[keep, :R]
             ridges = _ridges(lams, active)
             buffers = _contraction_buffers(len(live), R, N, T)
     return results
-
-
-def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs) -> list:
-    """Fit every config in one stacked call; [(factors, report)] in order.
-
-    The members share the observations, lambdas and norm caps and may
-    differ in rank, seed, ``max_sweeps`` and ``tol``.  Each member's
-    factors, objective trace and report are those of its own cold
-    :func:`fit` up to summation order, which revivals can amplify (ranks
-    below the largest are solved padded, so by LAPACK rather than in
-    closed form).  The sufficient stats are not built.
-    """
-    return _fit_stack(tensor, omega, list(configs))
 
 
 def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
@@ -420,13 +448,8 @@ def fit(tensor: EnergyTensor, omega: ObservationSet, config: ModelConfig,
     Sweeps stop when the relative objective change drops below
     ``config.tol`` or after ``config.max_sweeps``; stopping at the cap
     logs one INFO line.  The returned stats are rebuilt from the final
-    factors.
+    factors.  The fit is :func:`fit_committee` with one member.
     """
-    if season_prior is not None:
-        season_prior = np.asarray(season_prior, dtype=float)
-        if season_prior.shape != (tensor.num_months, config.rank):
-            raise ValueError("season_prior must be (months, rank)")
-    if warm_start is not None and warm_start.rank != config.rank:
-        raise ValueError("warm_start rank does not match config.rank")
-    (final, report), = _fit_stack(tensor, omega, [config], season_prior, warm_start)
+    (final, report), = fit_committee(tensor, omega, [config], [warm_start],
+                                     [season_prior])
     return final, accumulate_stats(tensor, omega, final, config), report

@@ -25,7 +25,7 @@ import numpy as np
 from . import data_io, evaluation, simulator
 from .errors import DataFormatError, NumericalError
 from .evaluation import GridSpec, kfold_split, map_tasks, relative_improvement
-from .strategies import STRATEGY_NAMES
+from .strategies import STRATEGY_NAMES, committee_configs
 from .tensor_core import ModelConfig
 from .uncertainty import MODES, ConfidenceParams, KernelConfig
 
@@ -155,7 +155,13 @@ class CliConfig:
     sequential: bool
 
     @classmethod
-    def resolve(cls, args) -> "CliConfig":
+    def resolve(cls, args, strategies=None) -> "CliConfig":
+        """The options of ``args``; an out-of-range value is a usage error.
+
+        ``strategies`` are the strategies the command runs (by default the
+        resolved ``strategy``): the committee is checked only when QBC is
+        among them.
+        """
         merged = {key: default for key, (_, default) in _OPTIONS.items()}
         if getattr(args, "config", None):
             merged.update(_parse_config_file(args.config))
@@ -171,15 +177,26 @@ class CliConfig:
         resolved = cls(**merged)
         if resolved.L < 0 or resolved.T < 1 or resolved.folds < 2:
             raise UsageError("need L >= 0, T >= 1 and folds >= 2")
+        try:
+            model = resolved.model_config()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if "qbc" in (strategies or (resolved.strategy,)):
+            try:
+                committee_configs(model, resolved.committee, resolved.seed)
+            except ValueError as exc:
+                raise UsageError(f"committee {list(resolved.committee)}: {exc}") from None
         return resolved
+
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(rank=self.rank, lambda1=self.lambda1,
+                           lambda2=self.lambda2, lambda3=self.lambda3,
+                           max_sweeps=self.max_sweeps, tol=self.tol, seed=self.seed)
 
     def run_kwargs(self) -> dict:
         """Keyword arguments of ``simulator.run``/``run_with_state``."""
-        model = ModelConfig(rank=self.rank, lambda1=self.lambda1,
-                            lambda2=self.lambda2, lambda3=self.lambda3,
-                            max_sweeps=self.max_sweeps, tol=self.tol, seed=self.seed)
         return dict(
-            L=self.L, T=self.T, model_config=model, seed=self.seed,
+            L=self.L, T=self.T, model_config=self.model_config(), seed=self.seed,
             confidence=ConfidenceParams(alpha_home=self.alpha_home,
                                         alpha_app=self.alpha_app),
             kernel_config_kwargs={"sigma_window": self.sigma, "horizon": self.horizon},
@@ -365,12 +382,13 @@ _SWEEP_STRATEGIES = ("actsense", "random")
 
 
 def cmd_sweep(args) -> int:
-    cfg = CliConfig.resolve(args)
-    tensor, _ = _load_data(args, cfg)
     strategies = args.strategies
-    if strategies is None:
-        in_file = bool(args.config) and "strategy" in _parse_config_file(args.config)
-        strategies = (cfg.strategy,) if in_file else _SWEEP_STRATEGIES
+    if strategies is None and not (args.config
+                                   and "strategy" in _parse_config_file(args.config)):
+        strategies = _SWEEP_STRATEGIES
+    cfg = CliConfig.resolve(args, strategies)
+    strategies = strategies or (cfg.strategy,)
+    tensor, _ = _load_data(args, cfg)
 
     payloads = []
     for seed in args.seeds or [cfg.seed]:

@@ -4,7 +4,9 @@ Each month: reveal the newly available readings (every home's bill for
 the month, plus one reading per previously installed pair), refit the
 factors warm-started from last month, evaluate RMSE on the held-out
 homes, let the strategy pick L new pairs from the candidate pool, and
-record the installation month.  Readings from freshly selected pairs
+record the installation month.  A query-by-committee month that selects
+fits the month's model and the cold committee members in one stacked
+call (the model is member 0).  Readings from freshly selected pairs
 only start arriving the following month.
 """
 
@@ -103,16 +105,29 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
 
     fit_config = model_config if state.factors is not None else \
         replace(model_config, seed=_derived_seed(state.seed, 1))
-    factors, stats, fit_report = als_engine.fit(
-        tensor, omega, fit_config, season_prior=season_prior,
-        warm_start=state.factors)
+    committee = (strategies.committee_configs(model_config, committee_ranks,
+                                              _derived_seed(state.seed, 3))
+                 if strategy == "qbc" else [])
+    pool = CandidatePool.build(split.train_homes, tensor, state.installed)
+    members = []
+    if committee and L > 0 and len(pool):
+        # the month's model is member 0 of the committee's stacked fit
+        fitted = als_engine.fit_committee(
+            tensor, omega, [fit_config, *committee],
+            warm_starts=[state.factors] + [None] * len(committee),
+            season_priors=[season_prior] + [None] * len(committee))
+        (factors, fit_report), members = fitted[0], [f for f, _ in fitted[1:]]
+        stats = als_engine.accumulate_stats(tensor, omega, factors, fit_config)
+    else:
+        factors, stats, fit_report = als_engine.fit(
+            tensor, omega, fit_config, season_prior=season_prior,
+            warm_start=state.factors)
 
     pred = factors.reconstruct()
     test_row = _rmse_rows(pred, tensor, split.test_homes, t)
     val_row = (_rmse_rows(pred, tensor, split.validation_homes, t)
                if split.validation_homes else None)
 
-    pool = CandidatePool.build(split.train_homes, tensor, state.installed)
     if L > 0 and len(pool) < L:
         log.info("month %d: pool has %d candidates, fewer than L=%d; installing all",
                  t, len(pool), L)
@@ -130,9 +145,7 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
     elif strategy == "random":
         result = strategies.select_random(pool, L, _derived_seed(state.seed, 2, t))
     else:
-        result = strategies.select_qbc(pool, L, tensor, omega, committee_ranks,
-                                       model_config, _derived_seed(state.seed, 3),
-                                       month=t)
+        result = strategies.select_qbc(pool, L, members, month=t)
 
     installed = dict(state.installed)
     for pair in result.chosen:

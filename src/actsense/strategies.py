@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import als_engine, uncertainty
+from . import uncertainty
 from .als_engine import SufficientStats
-from .tensor_core import EnergyTensor, LatentFactors, ModelConfig, ObservationSet
+from .tensor_core import EnergyTensor, LatentFactors, ModelConfig
 from .uncertainty import ConfidenceParams, InvertedStats, KernelConfig
 
 STRATEGY_NAMES = ("actsense", "random", "qbc")
@@ -134,34 +134,37 @@ def _member_seed(base_seed: int, rank: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(rank)]).generate_state(1)[0])
 
 
-def select_qbc(pool: CandidatePool, L: int, tensor: EnergyTensor,
-               omega: ObservationSet, committee_ranks, base_config: ModelConfig,
-               seed: int, month: int) -> SelectionResult:
-    """Query-by-committee: disagreement across fits at different ranks.
-
-    Each member refits the observed tensor at its own rank (seed derived
-    from the base seed and the rank, so identical ranks give identical
-    members) and predicts every pool pair at the current month; pairs
-    are ranked by the population variance of those predictions.
-
-    The members are fitted together by one :func:`als_engine.fit_committee`
-    call: their factors ride a member axis, zero-padded to the largest
-    rank, so each sweep's contractions with the observation mask are
-    shared, and a member that converges is frozen at that sweep with the
-    result of its own fit.
-    """
+def committee_configs(base_config: ModelConfig, committee_ranks, seed: int) -> list:
+    """One config per committee rank: ``base_config`` at that rank, its
+    seed derived from ``seed`` and the rank (so identical ranks give
+    identical members).  A committee needs at least two ranks."""
     ranks = list(committee_ranks)
     if len(ranks) < 2:
         raise ValueError("committee needs at least two rank settings")
+    return [replace(base_config, rank=int(rank), seed=_member_seed(seed, rank))
+            for rank in ranks]
+
+
+def select_qbc(pool: CandidatePool, L: int, members, month: int) -> SelectionResult:
+    """Query-by-committee: disagreement across fits at different ranks.
+
+    ``members`` are the committee's fitted factors, one per rank of
+    :func:`committee_configs`, each a cold refit of the observed tensor.
+    Every member predicts every pool pair at ``month``, and pairs are
+    ranked by the population variance of those predictions; nothing is
+    fitted here.  The simulator fits the members in the same
+    :func:`als_engine.fit_committee` call as the month's model: their
+    factors ride a member axis, zero-padded to the largest rank, so each
+    sweep's contractions with the observation mask are shared, and a
+    member that converges is frozen at that sweep with the result of its
+    own fit.
+    """
     if L <= 0 or len(pool) == 0:
         return SelectionResult(chosen=(), scores=())
     xs = np.array([p[0] for p in pool.pairs])
     ys = np.array([p[1] for p in pool.pairs])
-    configs = [replace(base_config, rank=int(rank), seed=_member_seed(seed, rank))
-               for rank in ranks]
-    members = als_engine.fit_committee(tensor, omega, configs)
-    preds = np.empty((len(ranks), len(pool)))
-    for m, (factors, _) in enumerate(members):
+    preds = np.empty((len(members), len(pool)))
+    for m, factors in enumerate(members):
         preds[m] = np.einsum("nr,nr->n", factors.H[xs] * factors.A[ys],
                              np.broadcast_to(factors.S[month], (len(pool), factors.rank)))
     return _top_by_score(pool.pairs, committee_variance(preds), L)

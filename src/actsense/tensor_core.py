@@ -281,8 +281,9 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
         if season_prior.shape != factors.S.shape:
             raise ValueError("season_prior shape must match the season factor matrix")
     W, XW, cols = masked_readings(tensor, omega)
-    return masked_loss(W, XW, support_rows(factors.A, factors.S, cols),
-                       factors.H, factors.A, factors.S, config, season_prior)
+    H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
+    prior = None if season_prior is None else season_prior[:, None, :]
+    return float(masked_losses(W, XW, support_rows(A, S, cols), H, A, S, config, prior)[0])
 
 
 def masked_readings(tensor: EnergyTensor, omega: ObservationSet):
@@ -306,17 +307,21 @@ def support_rows(A, S, cols) -> np.ndarray:
     return A[j] * S[k]
 
 
-def masked_loss(W, XW, Z, H, A, S, config: ModelConfig,
-                season_prior: np.ndarray | None = None) -> float:
-    """The objective of :func:`masked_objective` for factor matrices
-    ``H, A, S``, from the observed columns ``W, XW`` of
-    :func:`masked_readings` and ``Z = support_rows(A, S, cols)``."""
-    resid = H @ Z.T
+def masked_losses(W, XW, Z, H, A, S, config: ModelConfig,
+                  season_prior: np.ndarray | None = None) -> np.ndarray:
+    """The objective of :func:`masked_objective` for each member of the
+    (n, B, r) factor stacks ``H, A, S``, shape (B,), from the observed
+    columns ``W, XW`` of :func:`masked_readings` and
+    ``Z = support_rows(A, S, cols)``.  The members share the lambdas of
+    ``config``; zero padding columns add nothing."""
+    resid = np.matmul(H.transpose(1, 0, 2), Z.transpose(1, 2, 0))  # (B, M, C)
     resid *= W
     resid -= XW
-    resid = resid.ravel()
+    resid = resid.reshape(len(resid), -1)
     s_term = S if season_prior is None else S - season_prior
-    return (float(np.einsum("i,i->", resid, resid))
-            + config.lambda1 * float((H ** 2).sum())
-            + config.lambda2 * float((A ** 2).sum())
-            + config.lambda3 * float((s_term ** 2).sum()))
+    # the three ridge terms from one pass over all rows: squared row
+    # norms, summed per family, weighted by the family's lambda
+    rows = np.concatenate((H, A, s_term))
+    norms = np.add.reduceat(np.vecdot(rows, rows), (0, len(H), len(H) + len(A)))
+    return (np.vecdot(resid, resid)
+            + np.dot((config.lambda1, config.lambda2, config.lambda3), norms))

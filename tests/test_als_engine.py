@@ -11,6 +11,7 @@ from actsense import als_engine
 from actsense.als_engine import (CONDITION_LIMIT, _project_rows, _solve_family,
                                  fit_committee, init_factors)
 from actsense.strategies import _member_seed
+from actsense.tensor_core import masked_losses, masked_readings, support_rows
 
 from conftest import full_omega
 
@@ -474,8 +475,9 @@ def test_100_sweep_fit_matches_frozen_factors():
 
 
 def _committee_instance():
-    """A small instance on which every committee member fits without
-    revivals, so a member sliced from the stack tracks its solo fit."""
+    """A small instance on which a member sliced from the stack tracks its
+    solo fit: ranks 1 and 2 fit without revivals, and ranks 3 and 4
+    revive once, at the same sweep as alone."""
     tensor, _ = generate_synthetic(SyntheticConfig(
         num_homes=14, num_appliances=5, num_months=7, true_rank=2,
         noise_sigma=0.05, seed=1))
@@ -490,6 +492,17 @@ def _committee_instance():
 def _committee_configs():
     base = ModelConfig(lambda1=1.0, lambda2=1.0, lambda3=1.0, max_sweeps=150, tol=1e-3)
     return [replace(base, rank=r, seed=_member_seed(1, r)) for r in (1, 2, 3, 4)]
+
+
+def _assert_matches_solo(member, solo_fit):
+    """A member of a stacked fit against its own fit's (factors, stats, report)."""
+    (factors, report), (solo, _, solo_report) = member, solo_fit
+    assert factors.rank == solo.rank
+    for got, want in ((factors.H, solo.H), (factors.A, solo.A), (factors.S, solo.S)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert report.sweeps_run == solo_report.sweeps_run
+    assert report.converged == solo_report.converged
+    np.testing.assert_allclose(report.objective_trace, solo_report.objective_trace, rtol=1e-9)
 
 
 class TestFitCommittee:
@@ -511,16 +524,42 @@ class TestFitCommittee:
         members = fit_committee(tensor, omega, configs)
         monkeypatch.undo()
         assert max(padding_seen) == 6  # ranks 1, 2, 3 padded to 4
-        for cfg, (factors, report) in zip(configs, members):
-            solo, _, solo_report = fit(tensor, omega, cfg)
-            assert factors.rank == cfg.rank
-            for got, want in ((factors.H, solo.H), (factors.A, solo.A),
-                              (factors.S, solo.S)):
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-            assert report.sweeps_run == solo_report.sweeps_run
-            assert report.converged == solo_report.converged
-            np.testing.assert_allclose(report.objective_trace,
-                                       solo_report.objective_trace, rtol=1e-9)
+        for cfg, member in zip(configs, members):
+            _assert_matches_solo(member, fit(tensor, omega, cfg))
+
+    def test_warm_member_with_prior_matches_its_solo_fit(self):
+        # the simulator's QBC month: the month's model, warm-started and
+        # with a season prior, stacked beside the cold committee
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        model = replace(configs[1], seed=99)
+        earlier = ObservationSet.from_triples(c for c in omega if c[2] < 3)
+        warm, _, _ = fit(tensor, earlier, model)
+        T = tensor.num_months
+        prior = np.linspace(0.5, 2.0, 2 * T).reshape(T, 2)
+        cold = [None] * len(configs)
+        members = fit_committee(tensor, omega, [model, *configs],
+                                warm_starts=[warm, *cold], season_priors=[prior, *cold])
+        _assert_matches_solo(members[0], fit(tensor, omega, model, season_prior=prior,
+                                             warm_start=warm))
+        for cfg, member in zip(configs, members[1:]):
+            _assert_matches_solo(member, fit(tensor, omega, cfg))
+
+    def test_batched_objective_matches_masked_objective(self):
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        members = [factors for factors, _ in fit_committee(tensor, omega, configs)]
+        T = tensor.num_months
+        priors = [None, np.full((T, 2), 1.5), None, np.linspace(0.1, 1.0, 4 * T).reshape(T, 4)]
+        H, A, S = (als_engine._stack([getattr(f, name) for f in members], 4)
+                   for name in "HAS")
+        prior = als_engine._stack([np.zeros((T, f.rank)) if p is None else p
+                                   for f, p in zip(members, priors)], 4)
+        W, XW, cols = masked_readings(tensor, omega)
+        got = masked_losses(W, XW, support_rows(A, S, cols), H, A, S, configs[0], prior)
+        want = [masked_objective(tensor, omega, f, configs[0], p)
+                for f, p in zip(members, priors)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_member_frozen_at_its_own_convergence(self):
         tensor, omega = _committee_instance()
@@ -548,6 +587,10 @@ class TestFitCommittee:
         assert len(records) == n_capped
         assert all(r.levelno == logging.INFO and f"max_sweeps={cap}" in r.getMessage()
                    for r in records)
+        # each line names its member's rank, so the lines can be told apart
+        assert sorted(r.getMessage().split()[0] for r in records) == sorted(
+            f"rank-{cfg.rank}" for cfg, (_, report) in zip(capped, members)
+            if not report.converged)
 
     def test_members_share_lambdas(self):
         tensor, omega = _committee_instance()

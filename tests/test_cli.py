@@ -422,6 +422,35 @@ def test_malformed_values_are_usage_errors(dataset, tmp_path, config, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "random", "--rank", "0"],
+    ["simulate", "--strategy", "random", "--max-sweeps", "0"],
+    ["simulate", "--strategy", "random", "--tol", "0"],
+    ["simulate", "--strategy", "random", "--lambda", "-1"],
+    ["simulate", "--strategy", "qbc", "--committee", "2"],
+    ["simulate", "--strategy", "qbc", "--committee", "0,2"],
+    ["sweep", "--strategies", "random,qbc", "--committee", "2", "--L", "1"],
+    ["gridsearch", "--strategy", "qbc", "--committee", "2", "--ranks", "2",
+     "--lambdas", "100", "--sigmas", "2", "--L", "1"],
+], ids=["rank-0", "max-sweeps-0", "tol-0", "negative-lambda", "committee-one-rank",
+        "committee-rank-0", "sweep-committee-one-rank", "gridsearch-committee-one-rank"])
+def test_out_of_range_values_are_usage_errors(dataset, tmp_path, argv, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(data_io, "load_csv", lambda *args, **kwargs: loaded.append(1))
+    rc = main([*argv, "--data", str(dataset), "--T", "2", "--folds", "2",
+               "-o", str(tmp_path / "out")])
+    assert rc == 1
+    assert not loaded  # rejected before any data is read
+
+
+def test_committee_unchecked_when_qbc_does_not_run(dataset, tmp_path):
+    rc = main(["simulate", "--data", str(dataset), "--strategy", "random",
+               "--committee", "2", "--L", "1", "--T", "2", "--folds", "2",
+               "--fold", "0", "--lambda", "100", "--max-sweeps", "5",
+               "-o", str(tmp_path / "out")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--strategy", "random", "--L", "1"],
     ["sweep", "--strategies", "random", "--L", "1"],
     ["gridsearch", "--strategy", "random", "--ranks", "2", "--lambdas", "100",

@@ -100,12 +100,13 @@ class TestStepMonth:
 
 
 class TestRun:
-    def test_deterministic_reports(self, small_world, tmp_path):
+    @pytest.mark.parametrize("strategy", ["actsense", "random", "qbc"])
+    def test_deterministic_reports(self, small_world, tmp_path, strategy):
         tensor, split, mc = small_world
         kwargs = dict(model_config=mc, seed=11,
                       kernel_config_kwargs={"sigma_window": 3, "horizon": 6})
-        r1 = run(tensor, split, "actsense", L=2, T=6, **kwargs)
-        r2 = run(tensor, split, "actsense", L=2, T=6, **kwargs)
+        r1 = run(tensor, split, strategy, L=2, T=6, **kwargs)
+        r2 = run(tensor, split, strategy, L=2, T=6, **kwargs)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_report(r1, p1)
         write_report(r2, p2)

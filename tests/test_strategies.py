@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from actsense import (ConfidenceParams, EnergyTensor, KernelConfig,
-                      LatentFactors, ModelConfig, ObservationSet,
-                      generate_synthetic, select_actsense, select_qbc,
-                      select_random, SyntheticConfig)
-from actsense import als_engine
+from actsense import (ConfidenceParams, EnergyTensor, FoldSplit, KernelConfig,
+                      LatentFactors, ModelConfig, ObservationSet, SimState,
+                      generate_synthetic, resolve_caps, select_actsense, select_qbc,
+                      select_random, step_month, SyntheticConfig)
+from actsense import als_engine, strategies
 from actsense.als_engine import SufficientStats
-from actsense.strategies import CandidatePool, committee_variance
+from actsense.simulator import _derived_seed
+from actsense.strategies import CandidatePool, committee_configs, committee_variance
 from actsense.uncertainty import InvertedStats, score_pairs
 
 from conftest import full_omega
@@ -212,58 +215,78 @@ class TestSelectQbc:
         tensor, _ = generate_synthetic(cfg)
         return tensor, full_omega(tensor)
 
-    def test_identical_committee_falls_to_tie_break(self):
+    def _members(self, ranks, cfg, seed):
         tensor, omega = self._instance()
+        fitted = als_engine.fit_committee(tensor, omega, committee_configs(cfg, ranks, seed))
+        return [factors for factors, _ in fitted]
+
+    def test_identical_committee_falls_to_tie_break(self):
         pool = CandidatePool(pairs=((0, 1), (0, 2), (1, 1)))
         cfg = ModelConfig(rank=2, lambda1=10.0, lambda2=10.0, lambda3=10.0,
                           max_sweeps=10)
-        result = select_qbc(pool, 2, tensor, omega, committee_ranks=[2, 2],
-                            base_config=cfg, seed=1, month=2)
+        members = self._members([2, 2], cfg, seed=1)
+        result = select_qbc(pool, 2, members, month=2)
         assert result.chosen == ((0, 1), (0, 2))
         assert result.scores == (0.0, 0.0)
 
     def test_committee_size_validated(self):
-        tensor, omega = self._instance()
-        pool = CandidatePool(pairs=((0, 1),))
-        with pytest.raises(ValueError):
-            select_qbc(pool, 1, tensor, omega, committee_ranks=[2],
-                       base_config=ModelConfig(rank=2), seed=1, month=0)
+        for ranks in ([2], [], [0, 2]):
+            with pytest.raises(ValueError):
+                committee_configs(ModelConfig(rank=2), ranks, seed=1)
 
-    def test_one_fit_per_committee_rank(self, monkeypatch):
-        tensor, omega = self._instance()
-        pool = CandidatePool(pairs=((0, 1), (1, 2)))
+    def test_one_stacked_fit_per_qbc_month(self, monkeypatch):
+        tensor, _ = self._instance()
+        split = FoldSplit(train_homes=(0, 1, 2, 3), validation_homes=(), test_homes=(4, 5))
+        mc = ModelConfig(rank=2, lambda1=10.0, lambda2=10.0, lambda3=10.0, max_sweeps=5)
+        cp = ConfidenceParams(caps=resolve_caps(tensor, mc))
+        kc = KernelConfig(sigma_window=3, horizon=4)
         calls = []
         real_fit_committee = als_engine.fit_committee
+        real_select = strategies.select_qbc
 
-        def counting_fit_committee(tensor, omega, configs):
-            calls.append([c.rank for c in configs])
-            return real_fit_committee(tensor, omega, configs)
+        def counting_fit_committee(tensor, omega, configs, warm_starts=None,
+                                   season_priors=None):
+            calls.append((list(configs), list(warm_starts)))
+            return real_fit_committee(tensor, omega, configs, warm_starts, season_priors)
 
         def no_solo_fit(*args, **kwargs):
-            raise AssertionError("committee members must not be fitted one by one")
+            raise AssertionError("a QBC month must not fit its model on its own")
 
-        monkeypatch.setattr("actsense.strategies.als_engine.fit_committee",
-                            counting_fit_committee)
-        monkeypatch.setattr("actsense.strategies.als_engine.fit", no_solo_fit)
-        cfg = ModelConfig(rank=2, max_sweeps=5)
-        select_qbc(pool, 1, tensor, omega, committee_ranks=[1, 2, 3, 4],
-                   base_config=cfg, seed=3, month=1)
-        assert calls == [[1, 2, 3, 4]]
+        def fitless_select(*args, **kwargs):
+            before = len(calls)
+            result = real_select(*args, **kwargs)
+            assert len(calls) == before, "select_qbc must not fit"
+            return result
+
+        monkeypatch.setattr(als_engine, "fit_committee", counting_fit_committee)
+        monkeypatch.setattr(als_engine, "fit", no_solo_fit)
+        monkeypatch.setattr(strategies, "select_qbc", fitless_select)
+        state = SimState.initial(seed=4)
+        for t in range(3):
+            previous = state.factors
+            state, month_log = step_month(state, tensor, "qbc", 1, mc, cp, kc, split,
+                                          committee_ranks=(1, 2, 3))
+            assert len(calls) == t + 1 and len(month_log["pairs"]) == 1
+            configs, warm_starts = calls[-1]
+            # member 0 is the month's model: the run's config (a derived
+            # seed in the first, cold month), warm-started from last month
+            assert configs[0] == (mc if t else replace(mc, seed=_derived_seed(4, 1)))
+            assert configs[1:] == committee_configs(mc, (1, 2, 3), _derived_seed(4, 3))
+            assert warm_starts[0] is previous
+            assert warm_starts[1:] == [None, None, None]
 
     def test_deterministic(self):
-        tensor, omega = self._instance()
         pool = CandidatePool(pairs=tuple((i, j) for i in range(4) for j in (1, 2)))
         cfg = ModelConfig(rank=2, max_sweeps=15)
-        a = select_qbc(pool, 3, tensor, omega, [1, 2], cfg, seed=5, month=2)
-        b = select_qbc(pool, 3, tensor, omega, [1, 2], cfg, seed=5, month=2)
+        a = select_qbc(pool, 3, self._members([1, 2], cfg, seed=5), month=2)
+        b = select_qbc(pool, 3, self._members([1, 2], cfg, seed=5), month=2)
         assert a.chosen == b.chosen and a.scores == b.scores
 
     def test_scores_non_increasing_and_subset_of_pool(self):
-        tensor, omega = self._instance()
         pairs = tuple((i, j) for i in range(6) for j in (1, 2, 3))
         pool = CandidatePool(pairs=pairs)
         cfg = ModelConfig(rank=2, max_sweeps=15)
-        result = select_qbc(pool, 5, tensor, omega, [1, 2, 3], cfg, seed=7, month=3)
+        result = select_qbc(pool, 5, self._members([1, 2, 3], cfg, seed=7), month=3)
         assert set(result.chosen) <= set(pairs)
         assert all(a >= b for a, b in zip(result.scores, result.scores[1:]))
         assert all(j != 0 for _, j in result.chosen)

@@ -319,9 +319,7 @@ def masked_losses(W, XW, Z, H, A, S, config: ModelConfig,
     resid -= XW
     resid = resid.reshape(len(resid), -1)
     s_term = S if season_prior is None else S - season_prior
-    # the three ridge terms from one pass over all rows: squared row
-    # norms, summed per family, weighted by the family's lambda
-    rows = np.concatenate((H, A, s_term))
-    norms = np.add.reduceat(np.vecdot(rows, rows), (0, len(H), len(H) + len(A)))
-    return (np.vecdot(resid, resid)
-            + np.dot((config.lambda1, config.lambda2, config.lambda3), norms))
+    return (np.einsum("bi,bi->b", resid, resid)
+            + config.lambda1 * np.einsum("nbr,nbr->b", H, H)
+            + config.lambda2 * np.einsum("nbr,nbr->b", A, A)
+            + config.lambda3 * np.einsum("nbr,nbr->b", s_term, s_term))

@@ -38,8 +38,9 @@ reads its own columns.  Each member has its own warm start (or a cold
 start from its seed) and its own season prior (a zero prior where it has
 none, which adds exact zeros).  The objective is one pass over the stack,
 a (B, M, C) residual reduced per member, and each member keeps its own
-convergence test: a member that reaches tol or its max_sweeps leaves the
-stack with what its own fit would give, and the rest sweep on.  fit is
+convergence test against the shared tol: a member that converges leaves
+the stack with what its own fit would give, and the rest sweep on until
+they converge or all stop together at the shared max_sweeps.  fit is
 the one-member case (every reshape a view, the same products as a lone
 fit).  A query-by-committee month is one fit_committee call: the
 month's warm-started model is member 0, the cold committee members
@@ -70,19 +71,15 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-row ridge normal equations for all three factor families.
+    """Per-row ridge precisions of the home and appliance factors, the two
+    that shape a pair's confidence ellipsoid.
 
-    Precisions are stacked r x r matrices (lambda*I plus accumulated
-    outer products, hence symmetric positive definite); rhs vectors are
-    the matching weighted sums.
+    Each is a stack of r x r matrices, lambda*I plus the accumulated outer
+    products, hence symmetric positive definite.
     """
 
     home_precision: np.ndarray   # (M, r, r)
-    home_rhs: np.ndarray         # (M, r)
     app_precision: np.ndarray    # (N, r, r)
-    app_rhs: np.ndarray          # (N, r)
-    season_precision: np.ndarray  # (T, r, r)
-    season_rhs: np.ndarray       # (T, r)
 
 
 @dataclass(frozen=True)
@@ -191,20 +188,18 @@ def _season_family(V, U, A, ridge):
 
 def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
                      factors: LatentFactors, config: ModelConfig) -> SufficientStats:
-    """Build all three families of normal equations from the same factors."""
+    """The home and appliance precisions of ``factors``, by the sweep's
+    own products."""
     omega.check_bounds(tensor)
     H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
     ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
                      np.ones((1, factors.rank), dtype=bool))
     W, XW, cols = masked_readings(tensor, omega)
-    hp, hr = _home_family(W, XW, support_rows(A, S, cols), ridges[0])
+    hp, _ = _home_family(W, XW, support_rows(A, S, cols), ridges[0])
     V, U = _home_contractions(W, XW, cols, H,
                               _contraction_buffers(1, factors.rank, len(A), len(S)))
-    ap, ar = _app_family(V, U, S, ridges[1])
-    sp, sr = _season_family(V, U, A, ridges[2])
-    return SufficientStats(home_precision=hp, home_rhs=hr,
-                           app_precision=ap, app_rhs=ar,
-                           season_precision=sp, season_rhs=sr)
+    ap, _ = _app_family(V, U, S, ridges[1])
+    return SufficientStats(home_precision=hp, app_precision=ap)
 
 
 def _solve_family(precision, rhs, lam: float, ranks=None):
@@ -332,8 +327,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
                   warm_starts=None, season_priors=None) -> list:
     """Fit every config in one stacked call; [(factors, report)] in order.
 
-    The members share the observations, lambdas and norm caps and may
-    differ in rank, seed, ``max_sweeps`` and ``tol``.  ``warm_starts``
+    The members share the observations, lambdas, norm caps, ``max_sweeps``
+    and ``tol``, and may differ in rank and seed.  ``warm_starts``
     and ``season_priors`` hold one entry per member (None: a cold start
     from the member's seed, or no prior); None for either list means
     None for every member.  A member without a prior sweeps with a zero
@@ -351,9 +346,9 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     priors = _checked_priors(tensor, configs, warm_starts, season_priors)
     omega.check_observed(tensor)
     base = configs[0]
-    shared = [(c.lambda1, c.lambda2, c.lambda3, c.norm_caps) for c in configs]
-    if len(set(shared)) != 1:
-        raise ValueError("committee members must share lambdas and norm_caps")
+    for name in ("lambda1", "lambda2", "lambda3", "norm_caps", "max_sweeps", "tol"):
+        if len({getattr(c, name) for c in configs}) != 1:
+            raise ValueError(f"committee members must share {name}")
     lams = (base.lambda1, base.lambda2, base.lambda3)
     caps = resolve_caps(tensor, base)
     ranks = [c.rank for c in configs]
@@ -362,16 +357,12 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     inits = [init_factors(tensor, c, caps) for c in configs]
     fresh = [_stack([getattr(f, name) for f in inits], R) for name in "HAS"]
     revivals_allowed = len(omega) > 0
-    if all(w is None for w in warm_starts):
-        # never written in place: each sweep revives only the arrays it built
-        H, A, S = fresh
-    else:
-        starts = [f if w is None else w for w, f in zip(warm_starts, inits)]
-        H, A, S = (_stack([getattr(f, name) for f in starts], R) for name in "HAS")
-        if revivals_allowed:
-            # a cold member's columns are its fresh init's: reviving them is a no-op
-            for mat, fresh_mat in zip((H, A, S), fresh):
-                _revive_columns(mat, fresh_mat, active)
+    starts = [f if w is None else w for w, f in zip(warm_starts, inits)]
+    H, A, S = (_stack([getattr(f, name) for f in starts], R) for name in "HAS")
+    if revivals_allowed:
+        # a cold member's columns are its fresh init's: reviving them is a no-op
+        for mat, fresh_mat in zip((H, A, S), fresh):
+            _revive_columns(mat, fresh_mat, active)
     prior = None
     if any(p is not None for p in priors):
         prior = _stack([np.zeros((len(S), c.rank)) if p is None else p
@@ -386,7 +377,7 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     Z = support_rows(A, S, cols)
     traces = [[] for _ in configs]
     results = [None] * len(configs)
-    for sweep in range(max(c.max_sweeps for c in configs)):
+    for sweep in range(base.max_sweeps):
         revived = set()   # positions of members with a reseeded column
         hp, hr = _home_family(W, XW, Z, ridges[0])
         H = _project_rows(_solve_family(hp, hr, lams[0], live_ranks),
@@ -412,14 +403,14 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
         losses = masked_losses(W, XW, Z, H, A, S, base, prior)
         keep = []
         for pos, b in enumerate(live):
-            cfg, r, trace = configs[b], ranks[b], traces[b]
+            r, trace = ranks[b], traces[b]
             trace.append(float(losses[pos]))
             converged = (sweep >= 1 and pos not in revived
-                         and abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1e-12))
-            if converged or len(trace) == cfg.max_sweeps:
+                         and abs(trace[-2] - trace[-1]) <= base.tol * max(abs(trace[-2]), 1e-12))
+            if converged or sweep == base.max_sweeps - 1:
                 factors = LatentFactors(H=H[:, pos, :r], A=A[:, pos, :r],
                                         S=S[:, pos, :r], rank=r)
-                results[b] = (factors, _member_report(trace, converged, cfg))
+                results[b] = (factors, _member_report(trace, converged, configs[b]))
             else:
                 keep.append(pos)
         if not keep:

@@ -110,6 +110,15 @@ _OPTIONS = {
 }
 
 
+def _env_seed() -> int:
+    """The seed in ``ACTSENSE_SEED``; 0 when it is unset or empty."""
+    raw = os.environ.get("ACTSENSE_SEED") or "0"
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"ACTSENSE_SEED must be an integer, got {raw!r}") from None
+
+
 def _parse_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -168,7 +177,7 @@ class CliConfig:
         merged.update({key: getattr(args, key) for key in _OPTIONS
                        if getattr(args, key, None) is not None})
         if merged["seed"] is None:
-            merged["seed"] = int(os.environ.get("ACTSENSE_SEED") or 0)
+            merged["seed"] = _env_seed()
         lam, alpha = merged.pop("lambda"), merged.pop("alpha")
         for key in ("lambda1", "lambda2", "lambda3"):
             merged[key] = lam if merged[key] is None else merged[key]
@@ -233,17 +242,14 @@ def _report_label(config_echo: dict) -> str:
 
 
 def cmd_generate(args) -> int:
-    for name in ("homes", "appliances", "months", "rank"):
-        if getattr(args, name) < 1:
-            raise UsageError(f"--{name} must be >= 1")
-    if args.noise < 0:
-        raise UsageError("--noise must be >= 0")
-    cfg = data_io.SyntheticConfig(
-        num_homes=args.homes, num_appliances=args.appliances,
-        num_months=args.months, true_rank=args.rank, noise_sigma=args.noise,
-        season_shape=args.season, seed=args.seed if args.seed is not None
-        else int(os.environ.get("ACTSENSE_SEED", "0") or 0),
-        season_file=args.season_file)
+    seed = args.seed if args.seed is not None else _env_seed()
+    try:
+        cfg = data_io.SyntheticConfig(
+            num_homes=args.homes, num_appliances=args.appliances,
+            num_months=args.months, true_rank=args.rank, noise_sigma=args.noise,
+            season_shape=args.season, seed=seed, season_file=args.season_file)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     tensor, _ = data_io.generate_synthetic(cfg)
     months = data_io.month_labels(args.months, start=args.start_month)
     out = Path(args.output)
@@ -388,6 +394,8 @@ def cmd_sweep(args) -> int:
         strategies = _SWEEP_STRATEGIES
     cfg = CliConfig.resolve(args, strategies)
     strategies = strategies or (cfg.strategy,)
+    if min(args.L_list) < 0:
+        raise UsageError("need L >= 0")
     tensor, _ = _load_data(args, cfg)
 
     payloads = []
@@ -423,9 +431,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = CliConfig.resolve(args)
+    try:
+        grid = GridSpec(ranks=args.ranks, lambdas=args.lambdas, sigmas=args.sigmas,
+                        L_values=args.L_list)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     tensor, _ = _load_data(args, cfg)
-    grid = GridSpec(ranks=args.ranks, lambdas=args.lambdas, sigmas=args.sigmas,
-                    L_values=args.L_list)
     splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                          val_fraction=cfg.val_fraction, seed=cfg.seed)
     if not all(split.validation_homes for split in splits):

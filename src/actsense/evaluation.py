@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .tensor_core import EnergyTensor, ModelConfig
+from .tensor_core import EnergyTensor, ModelConfig, derived_seed
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +50,12 @@ class GridSpec:
     L_values: tuple
 
     def __post_init__(self):
-        for name in ("ranks", "lambdas", "sigmas", "L_values"):
+        for name, low in (("ranks", 1), ("lambdas", 0), ("sigmas", 1), ("L_values", 0)):
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValueError(f"GridSpec.{name} must be nonempty")
+            if min(vals) < low:
+                raise ValueError(f"GridSpec.{name} must be >= {low}, got {min(vals)}")
             object.__setattr__(self, name, vals)
 
     @classmethod
@@ -210,11 +212,11 @@ def _run_grid_task(packed):
     cfg = replace(base_config, rank=int(rank), lambda1=float(lam),
                   lambda2=float(lam), lambda3=float(lam))
     kernel = {**run_kwargs.get("kernel_config_kwargs", {}), "sigma_window": int(sigma)}
-    fold_seed = int(np.random.SeedSequence([int(seed), int(f_idx)]).generate_state(1)[0])
     try:
         report = simulator.run(
             tensor, split, strategy, L=int(L), T=T, model_config=cfg,
-            seed=fold_seed, **{**run_kwargs, "kernel_config_kwargs": kernel})
+            seed=derived_seed(seed, f_idx),
+            **{**run_kwargs, "kernel_config_kwargs": kernel})
         return (p_idx, f_idx, report.val_year_rmse, report.year_rmse, None)
     except (NumericalError, ValueError) as exc:
         log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, exc)

@@ -22,7 +22,8 @@ from . import als_engine, strategies, uncertainty
 from .als_engine import SufficientStats
 from .evaluation import FoldSplit, mean_rmse, rmse_appliance_month, year_rmse
 from .strategies import CandidatePool
-from .tensor_core import EnergyTensor, LatentFactors, ModelConfig, ObservationSet
+from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
+                          derived_seed)
 from .uncertainty import ConfidenceParams, KernelConfig
 
 log = logging.getLogger(__name__)
@@ -56,10 +57,6 @@ class SimReport:
     omega_sizes: list
     val_mean_rmse: list | None = None
     val_year_rmse: float | None = None
-
-
-def _derived_seed(*parts) -> int:
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
 def reveal(state: SimState, tensor: EnergyTensor, t: int) -> ObservationSet:
@@ -104,9 +101,9 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
     omega = reveal(state, tensor, t)
 
     fit_config = model_config if state.factors is not None else \
-        replace(model_config, seed=_derived_seed(state.seed, 1))
+        replace(model_config, seed=derived_seed(state.seed, 1))
     committee = (strategies.committee_configs(model_config, committee_ranks,
-                                              _derived_seed(state.seed, 3))
+                                              derived_seed(state.seed, 3))
                  if strategy == "qbc" else [])
     pool = CandidatePool.build(split.train_homes, tensor, state.installed)
     members = []
@@ -134,7 +131,8 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
     if strategy == "actsense":
         cp_eff = cp
         if cp.alpha_mode == "bound":
-            a_home, a_app = uncertainty.factor_error_alphas(len(omega), cp, model_config)
+            a_home, a_app = uncertainty.factor_error_alphas(
+                len(omega), cp, model_config, als_engine.resolve_caps(tensor, model_config))
             cp_eff = replace(cp, alpha_home=a_home, alpha_app=a_app)
         prior_eff = season_prior
         if prior_eff is None:
@@ -143,7 +141,7 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
                                             cp_eff, kc, mode=uncertainty_mode,
                                             sequential=sequential)
     elif strategy == "random":
-        result = strategies.select_random(pool, L, _derived_seed(state.seed, 2, t))
+        result = strategies.select_random(pool, L, derived_seed(state.seed, 2, t))
     else:
         result = strategies.select_qbc(pool, L, members, month=t)
 
@@ -188,8 +186,6 @@ def run_with_state(tensor: EnergyTensor, split: FoldSplit, strategy: str,
     if T < 1 or T > tensor.num_months:
         raise ValueError(f"T must be in [1, {tensor.num_months}]")
     cp = confidence if confidence is not None else ConfidenceParams()
-    if cp.caps is None:
-        cp = replace(cp, caps=als_engine.resolve_caps(tensor, model_config))
     kc = KernelConfig(**(kernel_config_kwargs or {}))
 
     state = SimState.initial(seed=seed)

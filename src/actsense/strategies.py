@@ -14,7 +14,7 @@ import numpy as np
 
 from . import uncertainty
 from .als_engine import SufficientStats
-from .tensor_core import EnergyTensor, LatentFactors, ModelConfig
+from .tensor_core import EnergyTensor, LatentFactors, ModelConfig, derived_seed
 from .uncertainty import ConfidenceParams, InvertedStats, KernelConfig
 
 STRATEGY_NAMES = ("actsense", "random", "qbc")
@@ -130,10 +130,6 @@ def committee_variance(predictions: np.ndarray) -> np.ndarray:
     return predictions.var(axis=0)
 
 
-def _member_seed(base_seed: int, rank: int) -> int:
-    return int(np.random.SeedSequence([int(base_seed), int(rank)]).generate_state(1)[0])
-
-
 def committee_configs(base_config: ModelConfig, committee_ranks, seed: int) -> list:
     """One config per committee rank: ``base_config`` at that rank, its
     seed derived from ``seed`` and the rank (so identical ranks give
@@ -141,7 +137,7 @@ def committee_configs(base_config: ModelConfig, committee_ranks, seed: int) -> l
     ranks = list(committee_ranks)
     if len(ranks) < 2:
         raise ValueError("committee needs at least two rank settings")
-    return [replace(base_config, rank=int(rank), seed=_member_seed(seed, rank))
+    return [replace(base_config, rank=int(rank), seed=derived_seed(seed, rank))
             for rank in ranks]
 
 

@@ -258,6 +258,11 @@ class ModelConfig:
             raise ValueError("tol must be > 0")
 
 
+def derived_seed(*parts) -> int:
+    """A seed drawn from the integers ``parts``: equal parts, equal seed."""
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
 def khatri_rao(U, V) -> np.ndarray:
     """Column-wise Kronecker product: row a * len(V) + b is U[a] * V[b]."""
     if U.shape[1] != V.shape[1]:

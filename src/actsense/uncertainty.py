@@ -29,8 +29,9 @@ class ConfidenceParams:
 
     ``alpha_mode`` "fixed" uses ``alpha_home``/``alpha_app`` directly;
     "bound" means the caller derives them from the closed-form
-    high-probability bound via :func:`factor_error_alphas` (requires
-    caps and the q/epsilon convergence constants, each q_m + eps_m < 1).
+    high-probability bound via :func:`factor_error_alphas`, from the
+    q/epsilon convergence constants here (each q_m + eps_m < 1) and the
+    norm caps the fit projects onto.
     """
 
     alpha_mode: str = "fixed"
@@ -39,8 +40,6 @@ class ConfidenceParams:
     delta: float = 0.05
     q_rates: tuple = (0.5, 0.5, 0.5)
     epsilons: tuple = (0.01, 0.01, 0.01)
-    noise_sigma: float = 1.0
-    caps: tuple | None = None
 
     def __post_init__(self):
         if self.alpha_mode not in ("fixed", "bound"):
@@ -49,11 +48,9 @@ class ConfidenceParams:
             raise ValueError("delta must lie in (0, 1)")
         if len(self.q_rates) != 3 or len(self.epsilons) != 3:
             raise ValueError("q_rates and epsilons must have three entries")
-        if self.alpha_mode == "bound":
-            if any(q + e >= 1.0 for q, e in zip(self.q_rates, self.epsilons)):
-                raise ValueError("each q + epsilon must be < 1 for bound mode")
-            if self.caps is None:
-                raise ValueError("bound mode requires caps (P, Q, R)")
+        if self.alpha_mode == "bound" and any(
+                q + e >= 1.0 for q, e in zip(self.q_rates, self.epsilons)):
+            raise ValueError("each q + epsilon must be < 1 for bound mode")
 
 
 @dataclass(frozen=True)
@@ -120,16 +117,16 @@ def instant_score(x: int, y: int, s_tilde, stats: SufficientStats,
 
 
 def factor_error_alphas(omega_size: int, cp: ConfidenceParams,
-                        config: ModelConfig) -> tuple:
+                        config: ModelConfig, caps: tuple) -> tuple:
     """High-probability factor-error radii (alpha_home, alpha_app).
 
     Closed-form bound combining the self-normalized log term, the ridge
     bias sqrt(lambda)*cap, and geometric tails from the q-linear
-    convergence constants.  Grows with the observation count.
+    convergence constants.  ``caps`` are the row-norm caps (P, Q, R) of
+    the home, appliance and season factors.  Grows with the observation
+    count.
     """
-    if cp.caps is None:
-        raise ValueError("caps (P, Q, R) are required to evaluate the bound")
-    P, Q, R = cp.caps
+    P, Q, R = caps
     n = int(omega_size)
     fs = [q + e for q, e in zip(cp.q_rates, cp.epsilons)]
     if any(f >= 1.0 for f in fs):

@@ -10,8 +10,7 @@ from actsense import (EnergyTensor, LatentFactors, ModelConfig, NumericalError,
 from actsense import als_engine
 from actsense.als_engine import (CONDITION_LIMIT, _project_rows, _solve_family,
                                  fit_committee, init_factors)
-from actsense.strategies import _member_seed
-from actsense.tensor_core import masked_losses, masked_readings, support_rows
+from actsense.tensor_core import derived_seed, masked_losses, masked_readings, support_rows
 
 from conftest import full_omega
 
@@ -43,6 +42,24 @@ def scatter_stats(tensor, omega, factors, lams):
         np.add.at(rhs, idx, e[:, None] * vecs)
         out += [precision, rhs]
     return out
+
+
+def sweep_stats(tensor, omega, factors, lams):
+    """The three families of normal equations that a sweep's own helpers
+    build from ``factors``, in scatter_stats' order; accumulate_stats
+    returns the first two precisions."""
+    H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
+    ridges = als_engine._ridges(lams, np.ones((1, factors.rank), dtype=bool))
+    W, XW, cols = masked_readings(tensor, omega)
+    buffers = als_engine._contraction_buffers(1, factors.rank, len(A), len(S))
+    V, U = als_engine._home_contractions(W, XW, cols, H, buffers)
+    return [*als_engine._home_family(W, XW, support_rows(A, S, cols), ridges[0]),
+            *als_engine._app_family(V, U, S, ridges[1]),
+            *als_engine._season_family(V, U, A, ridges[2])]
+
+
+def config_lams(cfg):
+    return (cfg.lambda1, cfg.lambda2, cfg.lambda3)
 
 
 # mask kind -> (seed offset, coverage of a random mask, or None for a fixed one)
@@ -87,13 +104,15 @@ class TestAccumulateStats:
         cfg = ModelConfig(rank=2, lambda1=1.5, lambda2=2.5, lambda3=3.5)
         f = init_factors(tiny_tensor, cfg, resolve_caps(tiny_tensor, cfg))
         stats = accumulate_stats(tiny_tensor, ObservationSet.empty(), f, cfg)
+        _, home_rhs, _, _, season_precision, season_rhs = sweep_stats(
+            tiny_tensor, ObservationSet.empty(), f, config_lams(cfg))
         np.testing.assert_array_equal(stats.home_precision,
                                       np.tile(1.5 * np.eye(2), (2, 1, 1)))
         np.testing.assert_array_equal(stats.app_precision,
                                       np.tile(2.5 * np.eye(2), (3, 1, 1)))
-        np.testing.assert_array_equal(stats.season_precision,
+        np.testing.assert_array_equal(season_precision,
                                       np.tile(3.5 * np.eye(2), (3, 1, 1)))
-        assert not stats.home_rhs.any() and not stats.season_rhs.any()
+        assert not home_rhs.any() and not season_rhs.any()
 
     def test_hand_rank_one_accumulation(self):
         readings = np.full((1, 1, 1), 6.0)
@@ -103,11 +122,12 @@ class TestAccumulateStats:
         f = LatentFactors(H=np.ones((1, 2)), A=np.ones((1, 2)),
                           S=np.ones((1, 2)), rank=2)  # a o s = [1, 1]
         cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0, lambda3=1.0)
-        stats = accumulate_stats(tensor, ObservationSet.from_triples([(0, 0, 0)]),
-                                 f, cfg)
+        omega = ObservationSet.from_triples([(0, 0, 0)])
+        stats = accumulate_stats(tensor, omega, f, cfg)
+        home_rhs = sweep_stats(tensor, omega, f, config_lams(cfg))[1]
         np.testing.assert_array_equal(stats.home_precision[0],
                                       [[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(stats.home_rhs[0], [6.0, 6.0])
+        np.testing.assert_array_equal(home_rhs[0], [6.0, 6.0])
 
     def test_additivity_over_disjoint_sets(self, tiny_tensor):
         rng = np.random.default_rng(5)
@@ -117,15 +137,16 @@ class TestAccumulateStats:
         cells = [(i, j, k) for i in range(2) for j in range(3) for k in range(3)]
         rng.shuffle(cells)
         part1, part2 = cells[:9], cells[9:]
-        s_all = accumulate_stats(tiny_tensor, ObservationSet.from_triples(cells), f, cfg)
-        s1 = accumulate_stats(tiny_tensor, ObservationSet.from_triples(part1), f, cfg)
-        s2 = accumulate_stats(tiny_tensor, ObservationSet.from_triples(part2), f, cfg)
+        s_all, s1, s2 = (accumulate_stats(tiny_tensor, ObservationSet.from_triples(c), f, cfg)
+                         for c in (cells, part1, part2))
+        r_all, r1, r2 = (sweep_stats(tiny_tensor, ObservationSet.from_triples(c), f,
+                                     config_lams(cfg))[1]
+                         for c in (cells, part1, part2))
         lam_seed = np.tile(0.7 * np.eye(2), (2, 1, 1))
         np.testing.assert_allclose(s_all.home_precision,
                                    s1.home_precision + s2.home_precision - lam_seed,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(s_all.home_rhs, s1.home_rhs + s2.home_rhs,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r_all, r1 + r2, rtol=0, atol=1e-12)
 
     def test_out_of_range_rejected(self, tiny_tensor):
         cfg = ModelConfig(rank=2)
@@ -140,8 +161,9 @@ class TestAccumulateStats:
         tensor, omega, f, lams = oracle_case(kind, rank)
         cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
         stats = accumulate_stats(tensor, omega, f, cfg)
-        got = (stats.home_precision, stats.home_rhs, stats.app_precision,
-               stats.app_rhs, stats.season_precision, stats.season_rhs)
+        got = sweep_stats(tensor, omega, f, lams)
+        np.testing.assert_array_equal(stats.home_precision, got[0])
+        np.testing.assert_array_equal(stats.app_precision, got[2])
         for g, want in zip(got, scatter_stats(tensor, omega, f, lams)):
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
         if kind == "empty":
@@ -172,9 +194,10 @@ class TestAccumulateStats:
         f = LatentFactors(H=rng.random((2, 3)), A=rng.random((3, 3)),
                           S=rng.random((3, 3)), rank=3)
         stats = accumulate_stats(tiny_tensor, tiny_omega, f, cfg)
+        season_precision = sweep_stats(tiny_tensor, tiny_omega, f, config_lams(cfg))[4]
         for mats, lam in ((stats.home_precision, 0.9),
                           (stats.app_precision, 1.3),
-                          (stats.season_precision, 2.1)):
+                          (season_precision, 2.1)):
             np.testing.assert_allclose(mats, np.swapaxes(mats, 1, 2), atol=1e-12)
             eigs = np.linalg.eigvalsh(mats)
             assert (eigs >= lam - 1e-9).all()  # lam*I seed plus PSD accumulation
@@ -491,7 +514,7 @@ def _committee_instance():
 
 def _committee_configs():
     base = ModelConfig(lambda1=1.0, lambda2=1.0, lambda3=1.0, max_sweeps=150, tol=1e-3)
-    return [replace(base, rank=r, seed=_member_seed(1, r)) for r in (1, 2, 3, 4)]
+    return [replace(base, rank=r, seed=derived_seed(1, r)) for r in (1, 2, 3, 4)]
 
 
 def _assert_matches_solo(member, solo_fit):
@@ -592,10 +615,13 @@ class TestFitCommittee:
             f"rank-{cfg.rank}" for cfg, (_, report) in zip(capped, members)
             if not report.converged)
 
-    def test_members_share_lambdas(self):
+    @pytest.mark.parametrize("field, value", [("lambda2", 1.0), ("max_sweeps", 7),
+                                              ("tol", 1e-3)],
+                             ids=["lambda2", "max_sweeps", "tol"])
+    def test_members_share_lambdas(self, field, value):
         tensor, omega = _committee_instance()
-        configs = [ModelConfig(rank=1), ModelConfig(rank=2, lambda2=1.0)]
-        with pytest.raises(ValueError):
+        configs = [ModelConfig(rank=1), replace(ModelConfig(rank=2), **{field: value})]
+        with pytest.raises(ValueError, match=f"share {field}"):
             fit_committee(tensor, omega, configs)
 
 
@@ -623,8 +649,9 @@ def block_gradient_ratio(seed):
     factors = LatentFactors(H=rng.random((M, r)), A=rng.random((N, r)),
                             S=rng.random((T, r)), rank=r)
     stats = accumulate_stats(tensor, omega, factors, cfg)
+    home_rhs = sweep_stats(tensor, omega, factors, config_lams(cfg))[1]
     i = int(rng.integers(0, M))
-    solved = solve_row(stats.home_precision[i], stats.home_rhs[i], cfg.lambda1)
+    solved = solve_row(stats.home_precision[i], home_rhs[i], cfg.lambda1)
 
     def objective(row):
         H = factors.H.copy()

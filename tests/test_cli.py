@@ -50,6 +50,14 @@ class TestGenerate:
                    "--months", "0", "-o", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [["--noise", "-1"], ["--season", "from_file"]],
+                             ids=["negative-noise", "from-file-without-file"])
+    def test_malformed_input_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        rc = main(["generate", "--homes", "4", "--appliances", "2", "--months", "3",
+                   *argv, "-o", str(out)])
+        assert rc == 1 and not out.exists()
+
 
 class TestSimulate:
     def test_writes_one_report_per_fold(self, dataset, tmp_path):
@@ -440,6 +448,33 @@ def test_out_of_range_values_are_usage_errors(dataset, tmp_path, argv, monkeypat
                "-o", str(tmp_path / "out")])
     assert rc == 1
     assert not loaded  # rejected before any data is read
+
+
+@pytest.mark.parametrize("argv", [
+    ["gridsearch", "--ranks", "0"],
+    ["gridsearch", "--lambdas", "-5"],
+    ["gridsearch", "--sigmas", "0"],
+    ["gridsearch", "--L", "-1"],
+    ["sweep", "--L", "-1"],
+], ids=["gridsearch-rank-0", "gridsearch-negative-lambda", "gridsearch-sigma-0",
+        "gridsearch-negative-L", "sweep-negative-L"])
+def test_axis_ranges_are_checked_before_the_data(tmp_path, argv):
+    # reading the missing data file would exit 2
+    rc = main([*argv, "--data", str(tmp_path / "missing.csv"),
+               "-o", str(tmp_path / "out.csv")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--data", "missing.csv", "-o", "out"],
+    ["generate", "--homes", "4", "--appliances", "2", "--months", "3", "-o", "x.csv"],
+], ids=["simulate", "generate"])
+def test_malformed_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("ACTSENSE_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "ACTSENSE_SEED must be an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_committee_unchecked_when_qbc_does_not_run(dataset, tmp_path):

@@ -131,6 +131,14 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             GridSpec(ranks=(), lambdas=(1.0,), sigmas=(1,), L_values=(1,))
 
+    @pytest.mark.parametrize("axis, bad", [("ranks", 0), ("lambdas", -5.0),
+                                           ("sigmas", 0), ("L_values", -1)])
+    def test_out_of_range_axis_rejected(self, axis, bad):
+        axes = dict(ranks=(1,), lambdas=(0.0,), sigmas=(1,), L_values=(0,))
+        GridSpec(**axes)  # the lowest allowed values
+        with pytest.raises(ValueError, match=f"GridSpec.{axis} must be >="):
+            GridSpec(**{**axes, axis: (*axes[axis], bad)})
+
     def test_single_point_grid(self, world):
         tensor, splits, base = world
         grid = GridSpec(ranks=(2,), lambdas=(50.0,), sigmas=(2,), L_values=(1,))

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from actsense import (ConfidenceParams, FoldSplit, KernelConfig, ModelConfig,
-                      SyntheticConfig, generate_synthetic, kfold_split,
-                      resolve_caps, run, run_with_state, write_report)
+                      SyntheticConfig, factor_error_alphas, generate_synthetic,
+                      kfold_split, resolve_caps, run, run_with_state, write_report)
+from actsense import strategies
 from actsense.simulator import SimState, reveal, step_month
 
 
@@ -21,9 +23,8 @@ def small_world():
     return tensor, split, mc
 
 
-def _cp_kc(tensor, mc):
-    return (ConfidenceParams(caps=resolve_caps(tensor, mc)),
-            KernelConfig(sigma_window=3, horizon=6))
+def _cp_kc():
+    return ConfidenceParams(), KernelConfig(sigma_window=3, horizon=6)
 
 
 class TestReveal:
@@ -75,7 +76,7 @@ class TestReveal:
 class TestStepMonth:
     def test_zero_budget_stays_passive(self, small_world):
         tensor, split, mc = small_world
-        cp, kc = _cp_kc(tensor, mc)
+        cp, kc = _cp_kc()
         state = SimState.initial(seed=1)
         for _ in range(3):
             state, log = step_month(state, tensor, "random", 0, mc, cp, kc, split)
@@ -86,7 +87,7 @@ class TestStepMonth:
 
     def test_fresh_selection_not_observed_same_month(self, small_world):
         tensor, split, mc = small_world
-        cp, kc = _cp_kc(tensor, mc)
+        cp, kc = _cp_kc()
         state, log = step_month(SimState.initial(seed=2), tensor, "actsense", 2,
                                 mc, cp, kc, split)
         for i, j in state.installed:
@@ -94,9 +95,30 @@ class TestStepMonth:
 
     def test_unknown_strategy_rejected(self, small_world):
         tensor, split, mc = small_world
-        cp, kc = _cp_kc(tensor, mc)
+        cp, kc = _cp_kc()
         with pytest.raises(ValueError):
             step_month(SimState.initial(0), tensor, "vbv", 1, mc, cp, kc, split)
+
+    @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)], ids=["derived", "configured"])
+    def test_bound_mode_alphas_use_the_fit_caps(self, small_world, monkeypatch, caps):
+        tensor, split, mc = small_world
+        mc = replace(mc, norm_caps=caps)
+        cp = ConfidenceParams(alpha_mode="bound")
+        kc = KernelConfig(sigma_window=3, horizon=6)
+        given = []
+        real_select = strategies.select_actsense
+
+        def capturing_select(pool, L, t, factors, stats, season_prior, cp, kc, **kw):
+            given.append(cp)
+            return real_select(pool, L, t, factors, stats, season_prior, cp, kc, **kw)
+
+        monkeypatch.setattr(strategies, "select_actsense", capturing_select)
+        state, _ = step_month(SimState.initial(seed=2), tensor, "actsense", 2,
+                              mc, cp, kc, split)
+        (got,) = given
+        want = factor_error_alphas(len(state.omega), cp, mc, resolve_caps(tensor, mc))
+        assert (got.alpha_home, got.alpha_app) == want
+        assert want != (cp.alpha_home, cp.alpha_app)
 
 
 class TestRun:
@@ -133,7 +155,7 @@ class TestRun:
 
     def test_omega_monotone_and_reveal_schedule(self, small_world):
         tensor, split, mc = small_world
-        cp, kc = _cp_kc(tensor, mc)
+        cp, kc = _cp_kc()
         state = SimState.initial(seed=9)
         snapshots = []
         for _ in range(6):

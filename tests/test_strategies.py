@@ -5,22 +5,20 @@ import pytest
 
 from actsense import (ConfidenceParams, EnergyTensor, FoldSplit, KernelConfig,
                       LatentFactors, ModelConfig, ObservationSet, SimState,
-                      generate_synthetic, resolve_caps, select_actsense, select_qbc,
+                      generate_synthetic, select_actsense, select_qbc,
                       select_random, step_month, SyntheticConfig)
 from actsense import als_engine, strategies
 from actsense.als_engine import SufficientStats
-from actsense.simulator import _derived_seed
+from actsense.tensor_core import derived_seed
 from actsense.strategies import CandidatePool, committee_configs, committee_variance
 from actsense.uncertainty import InvertedStats, score_pairs
 
 from conftest import full_omega
 
 
-def identity_stats(M, N, T, r=2):
+def identity_stats(M, N, r=2):
     eye = lambda n: np.tile(np.eye(r), (n, 1, 1))
-    return SufficientStats(home_precision=eye(M), home_rhs=np.zeros((M, r)),
-                           app_precision=eye(N), app_rhs=np.zeros((N, r)),
-                           season_precision=eye(T), season_rhs=np.zeros((T, r)))
+    return SufficientStats(home_precision=eye(M), app_precision=eye(N))
 
 
 class TestCandidatePool:
@@ -84,7 +82,7 @@ class TestSelectActsense:
         factors = LatentFactors(H=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                 A=np.array([[1.0, 1.0], [3.0, 4.0], [1.0, 0.0]]),
                                 S=np.ones((3, 2)), rank=2)
-        stats = identity_stats(2, 3, 3)
+        stats = identity_stats(2, 3)
         cp = ConfidenceParams(alpha_home=1.0, alpha_app=1.0)
         kc = KernelConfig(sigma_window=1, horizon=3)
         pool = CandidatePool(pairs=((0, 1), (1, 1), (1, 2)))
@@ -122,10 +120,7 @@ class TestSelectActsense:
         home = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (M, 1, 1))
         mats = g.normal(size=(N, r, r))
         app = np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (N, 1, 1))
-        stats = SufficientStats(home_precision=home, home_rhs=np.zeros((M, r)),
-                                app_precision=app, app_rhs=np.zeros((N, r)),
-                                season_precision=np.tile(np.eye(r), (T, 1, 1)),
-                                season_rhs=np.zeros((T, r)))
+        stats = SufficientStats(home_precision=home, app_precision=app)
         pairs = tuple((i, j) for i in range(M) for j in range(1, N))
         return factors, stats, pairs, g.random((T, r))
 
@@ -238,7 +233,7 @@ class TestSelectQbc:
         tensor, _ = self._instance()
         split = FoldSplit(train_homes=(0, 1, 2, 3), validation_homes=(), test_homes=(4, 5))
         mc = ModelConfig(rank=2, lambda1=10.0, lambda2=10.0, lambda3=10.0, max_sweeps=5)
-        cp = ConfidenceParams(caps=resolve_caps(tensor, mc))
+        cp = ConfidenceParams()
         kc = KernelConfig(sigma_window=3, horizon=4)
         calls = []
         real_fit_committee = als_engine.fit_committee
@@ -270,8 +265,8 @@ class TestSelectQbc:
             configs, warm_starts = calls[-1]
             # member 0 is the month's model: the run's config (a derived
             # seed in the first, cold month), warm-started from last month
-            assert configs[0] == (mc if t else replace(mc, seed=_derived_seed(4, 1)))
-            assert configs[1:] == committee_configs(mc, (1, 2, 3), _derived_seed(4, 3))
+            assert configs[0] == (mc if t else replace(mc, seed=derived_seed(4, 1)))
+            assert configs[1:] == committee_configs(mc, (1, 2, 3), derived_seed(4, 3))
             assert warm_starts[0] is previous
             assert warm_starts[1:] == [None, None, None]
 

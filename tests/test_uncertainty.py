@@ -9,15 +9,12 @@ from actsense.als_engine import CONDITION_LIMIT, SufficientStats
 from actsense.uncertainty import score_pairs
 
 
-def stats_with(home_precision, app_precision, r=2, n_homes=1, n_apps=1, T=3):
+def stats_with(home_precision, app_precision, r=2, n_homes=1, n_apps=1):
     home = np.tile(np.eye(r), (n_homes, 1, 1))
     app = np.tile(np.eye(r), (n_apps, 1, 1))
     home[0] = home_precision
     app[0] = app_precision
-    return SufficientStats(home_precision=home, home_rhs=np.zeros((n_homes, r)),
-                           app_precision=app, app_rhs=np.zeros((n_apps, r)),
-                           season_precision=np.tile(np.eye(r), (T, 1, 1)),
-                           season_rhs=np.zeros((T, r)))
+    return SufficientStats(home_precision=home, app_precision=app)
 
 
 class TestInstantScore:
@@ -55,35 +52,34 @@ class TestInstantScore:
 class TestFactorErrorAlphas:
     def _cp(self, **kw):
         base = dict(alpha_mode="bound", delta=1.0 / np.e,
-                    q_rates=(0.49, 0.49, 0.49), epsilons=(0.01, 0.01, 0.01),
-                    caps=(1.0, 1.0, 1.0))
+                    q_rates=(0.49, 0.49, 0.49), epsilons=(0.01, 0.01, 0.01))
         base.update(kw)
         return ConfidenceParams(**base)
 
     def test_empty_observation_limit(self):
-        cp = self._cp(delta=0.1, caps=(2.0, 1.0, 1.0))
+        cp = self._cp(delta=0.1)
         cfg = ModelConfig(rank=3, lambda1=4.0, lambda2=1.0)
-        a_home, _ = factor_error_alphas(0, cp, cfg)
+        a_home, _ = factor_error_alphas(0, cp, cfg, (2.0, 1.0, 1.0))
         assert a_home == pytest.approx(np.sqrt(3 * np.log(1 / 0.1)) + 2.0 * 2.0)
 
     def test_hand_evaluation(self):
         cp = self._cp()  # f2 = f3 = 0.5, delta = 1/e, P = Q = R = 1
         cfg = ModelConfig(rank=1, lambda1=1.0, lambda2=1.0)
-        a_home, _ = factor_error_alphas(1, cp, cfg)
+        a_home, _ = factor_error_alphas(1, cp, cfg, (1.0, 1.0, 1.0))
         assert a_home == pytest.approx(np.sqrt(1 + np.log(2)) + 3.0, rel=1e-12)
 
     def test_monotone_in_observations(self):
         cp = self._cp()
         cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0)
-        a10 = factor_error_alphas(10, cp, cfg)
-        a100 = factor_error_alphas(100, cp, cfg)
+        a10 = factor_error_alphas(10, cp, cfg, (1.0, 1.0, 1.0))
+        a100 = factor_error_alphas(100, cp, cfg, (1.0, 1.0, 1.0))
         assert a100[0] >= a10[0] and a100[1] >= a10[1]
 
     def test_divergent_geometry_rejected(self):
         cp = ConfidenceParams(alpha_mode="fixed", q_rates=(0.9, 0.9, 0.9),
-                              epsilons=(0.2, 0.2, 0.2), caps=(1.0, 1.0, 1.0))
+                              epsilons=(0.2, 0.2, 0.2))
         with pytest.raises(ValueError):
-            factor_error_alphas(5, cp, ModelConfig(rank=1))
+            factor_error_alphas(5, cp, ModelConfig(rank=1), (1.0, 1.0, 1.0))
 
 
 class TestTriangleWeight:
@@ -121,9 +117,7 @@ def _scoring_setup(seed=0, M=3, N=4, T=12, r=2):
     def spd(n):
         mats = rng.normal(size=(n, r, r))
         return np.einsum("nij,nkj->nik", mats, mats) + np.tile(np.eye(r), (n, 1, 1))
-    stats = SufficientStats(home_precision=spd(M), home_rhs=np.zeros((M, r)),
-                            app_precision=spd(N), app_rhs=np.zeros((N, r)),
-                            season_precision=spd(T), season_rhs=np.zeros((T, r)))
+    stats = SufficientStats(home_precision=spd(M), app_precision=spd(N))
     prior = rng.random((T, r))
     return factors, stats, prior
 
@@ -131,11 +125,7 @@ def _scoring_setup(seed=0, M=3, N=4, T=12, r=2):
 class TestInvertStats:
     @staticmethod
     def stats(home, app):
-        r = home.shape[-1]
-        return SufficientStats(home_precision=home, home_rhs=np.zeros(home.shape[:2]),
-                               app_precision=app, app_rhs=np.zeros(app.shape[:2]),
-                               season_precision=np.eye(r)[None],
-                               season_rhs=np.zeros((1, r)))
+        return SufficientStats(home_precision=home, app_precision=app)
 
     def test_trace_det_bound_skips_the_exact_condition(self, cond_calls):
         rng = np.random.default_rng(13)
@@ -182,11 +172,7 @@ class TestIntegratedUncertainty:
         factors = LatentFactors(H=np.ones((2, r)), A=np.ones((3, r)),
                                 S=np.ones((12, r)), rank=r)
         stats = SufficientStats(home_precision=np.tile(np.eye(r), (2, 1, 1)),
-                                home_rhs=np.zeros((2, r)),
-                                app_precision=np.tile(np.eye(r), (3, 1, 1)),
-                                app_rhs=np.zeros((3, r)),
-                                season_precision=np.tile(np.eye(r), (12, 1, 1)),
-                                season_rhs=np.zeros((12, r)))
+                                app_precision=np.tile(np.eye(r), (3, 1, 1)))
         prior = np.ones((12, r))
         cp = ConfidenceParams()
         kc = KernelConfig(sigma_window=12, horizon=12)
@@ -287,10 +273,6 @@ class TestShermanMorrison:
             before = instant_score(x, y, s, stats, factors, cp)
             home = stats.home_precision.copy()
             home[x] = home[x] + np.outer(v, v)
-            bumped = SufficientStats(home_precision=home, home_rhs=stats.home_rhs,
-                                     app_precision=stats.app_precision,
-                                     app_rhs=stats.app_rhs,
-                                     season_precision=stats.season_precision,
-                                     season_rhs=stats.season_rhs)
+            bumped = SufficientStats(home_precision=home, app_precision=stats.app_precision)
             after = instant_score(x, y, s, bumped, factors, cp)
             assert after < before

@@ -190,7 +190,6 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
                      factors: LatentFactors, config: ModelConfig) -> SufficientStats:
     """The home and appliance precisions of ``factors``, by the sweep's
     own products."""
-    omega.check_bounds(tensor)
     H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
     ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
                      np.ones((1, factors.rank), dtype=bool))
@@ -344,7 +343,7 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     if season_priors is None:
         season_priors = [None] * len(configs)
     priors = _checked_priors(tensor, configs, warm_starts, season_priors)
-    omega.check_observed(tensor)
+    W, XW, cols = masked_readings(tensor, omega)
     base = configs[0]
     for name in ("lambda1", "lambda2", "lambda3", "norm_caps", "max_sweeps", "tol"):
         if len({getattr(c, name) for c in configs}) != 1:
@@ -368,7 +367,6 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
         prior = _stack([np.zeros((len(S), c.rank)) if p is None else p
                         for c, p in zip(configs, priors)], R)
 
-    W, XW, cols = masked_readings(tensor, omega)
     M, N, T = len(H), len(A), len(S)
     live = list(range(len(configs)))   # members still sweeping, in stack order
     live_ranks = ranks

@@ -110,13 +110,21 @@ _OPTIONS = {
 }
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    """``seed``, which numpy needs nonnegative; a negative one is a usage error."""
+    if seed < 0:
+        raise UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def _env_seed() -> int:
     """The seed in ``ACTSENSE_SEED``; 0 when it is unset or empty."""
     raw = os.environ.get("ACTSENSE_SEED") or "0"
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise UsageError(f"ACTSENSE_SEED must be an integer, got {raw!r}") from None
+    return _checked_seed(seed, "ACTSENSE_SEED")
 
 
 def _parse_config_file(path) -> dict:
@@ -178,6 +186,7 @@ class CliConfig:
                        if getattr(args, key, None) is not None})
         if merged["seed"] is None:
             merged["seed"] = _env_seed()
+        _checked_seed(merged["seed"], "seed")
         lam, alpha = merged.pop("lambda"), merged.pop("alpha")
         for key in ("lambda1", "lambda2", "lambda3"):
             merged[key] = lam if merged[key] is None else merged[key]
@@ -242,7 +251,7 @@ def _report_label(config_echo: dict) -> str:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _checked_seed(args.seed, "seed") if args.seed is not None else _env_seed()
     try:
         cfg = data_io.SyntheticConfig(
             num_homes=args.homes, num_appliances=args.appliances,
@@ -396,6 +405,8 @@ def cmd_sweep(args) -> int:
     strategies = strategies or (cfg.strategy,)
     if min(args.L_list) < 0:
         raise UsageError("need L >= 0")
+    for seed in args.seeds or ():
+        _checked_seed(seed, "--seeds entry")
     tensor, _ = _load_data(args, cfg)
 
     payloads = []

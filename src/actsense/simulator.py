@@ -41,8 +41,9 @@ class SimState:
     seed: int = 0
 
     @classmethod
-    def initial(cls, seed: int = 0) -> "SimState":
-        return cls(month=-1, omega=ObservationSet.empty(), installed={}, seed=seed)
+    def initial(cls, shape, seed: int = 0) -> "SimState":
+        """The state before month 0: nothing observed in a tensor of ``shape``."""
+        return cls(month=-1, omega=ObservationSet.empty(shape), installed={}, seed=seed)
 
 
 @dataclass
@@ -188,7 +189,7 @@ def run_with_state(tensor: EnergyTensor, split: FoldSplit, strategy: str,
     cp = confidence if confidence is not None else ConfidenceParams()
     kc = KernelConfig(**(kernel_config_kwargs or {}))
 
-    state = SimState.initial(seed=seed)
+    state = SimState.initial(tensor.readings.shape, seed=seed)
     logs = []
     for _ in range(T):
         state, month_log = step_month(

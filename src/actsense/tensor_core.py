@@ -5,8 +5,8 @@ and a parallel boolean ``mask`` marks which cells exist as ground truth.
 One appliance slice is the per-home monthly bill (the "aggregate"); it
 is always available and by convention sits at index 0 when built by the
 ingestion path.  Which cells the model is allowed to see at a given
-point of a simulation is tracked separately by :class:`ObservationSet`,
-the authoritative index set.  Cell (i, j, k) of the CP model is
+point of a simulation is a second boolean mask of the same shape, held
+by :class:`ObservationSet`.  Cell (i, j, k) of the CP model is
 sum_d H[i, d] A[j, d] S[k, d], computed a matrix at a time through
 :func:`khatri_rao` by :meth:`LatentFactors.reconstruct` and the objective.
 """
@@ -71,121 +71,52 @@ class EnergyTensor:
         return tuple(j for j in range(self.num_appliances) if j != self.aggregate_index)
 
 
-def _as_cells(triples) -> np.ndarray:
-    """(3, n) int64 array of (home, appliance, month) triples, one per column."""
-    if isinstance(triples, ObservationSet):
-        return triples._idx.T
-    if not isinstance(triples, np.ndarray):
-        triples = list(triples)
-    cells = np.asarray(triples, dtype=np.int64)
-    if cells.size == 0:
-        return np.zeros((3, 0), dtype=np.int64)
-    if cells.ndim != 2 or cells.shape[1] != 3:
-        raise ValueError("observations must be (home, appliance, month) triples")
-    return cells.T
-
-
-def _unique_cells(cells: np.ndarray) -> np.ndarray:
-    """Sorted, duplicate-free columns of a (3, n) cell array, C-contiguous.
-
-    Cells are ranked by their linear index in the smallest box holding
-    them all, which orders them lexicographically.  A box of more than
-    2**63 cells raises ValueError.
-    """
-    if cells.shape[1] == 0:
-        return np.zeros((3, 0), dtype=np.int64)
-    lo = cells.min(axis=1, keepdims=True)
-    offset = cells - lo
-    dims = tuple(offset.max(axis=1) + 1)
-    # a sort and a neighbour test: np.unique took about 20 times as long
-    # on 76k int64 values with numpy 2.4
-    linear = np.sort(np.ravel_multi_index(offset, dims))
-    linear = linear[np.concatenate(([True], linear[1:] != linear[:-1]))]
-    out = np.stack(np.unravel_index(linear, dims))
-    out += lo
-    return out
-
-
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Set of (home, appliance, month) triples the model may see.
+    """The observed cells Ω as one frozen (homes, appliances, months)
+    boolean ``mask``, copied on construction.
 
-    Held as one sorted, duplicate-free (n, 3) int64 index array, so
-    iteration and :meth:`arrays` follow ascending triple order.  The
-    array is column-major: each of its columns is contiguous.
+    ``np.nonzero(mask)`` lists the cells in ascending (home, appliance,
+    month) order.
     """
 
-    __slots__ = ("_idx",)
+    mask: np.ndarray
 
-    def __init__(self, entries=()):
-        cells = _unique_cells(_as_cells(entries))
-        cells.setflags(write=False)
-        self._idx = cells.T
-
-    @classmethod
-    def from_triples(cls, triples) -> "ObservationSet":
-        return cls(triples)
+    def __post_init__(self):
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 3:
+            raise ValueError(f"observation mask must be 3-D, got shape {mask.shape}")
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def empty(cls) -> "ObservationSet":
-        return cls()
-
-    @property
-    def entries(self) -> frozenset:
-        return frozenset(self)
+    def empty(cls, shape) -> "ObservationSet":
+        return cls(np.zeros(shape, dtype=bool))
 
     def union(self, triples) -> "ObservationSet":
-        cells = np.concatenate([self._idx.T, _as_cells(triples)], axis=1)
-        return ObservationSet(cells.T)
+        """A new set that also holds the (home, appliance, month) ``triples``.
 
-    def arrays(self):
-        """Index arrays (homes, appliances, months) in sorted triple order."""
-        idx = self._idx
-        return idx[:, 0], idx[:, 1], idx[:, 2]
-
-    def dense_mask(self, shape) -> np.ndarray:
-        """Float 0/1 array of ``shape`` with ones at the observed cells."""
-        mask = np.zeros(shape)
-        mask[self.arrays()] = 1.0
-        return mask
-
-    def check_bounds(self, tensor: EnergyTensor) -> None:
-        if len(self._idx) == 0:
-            return
-        if self._idx.min() < 0 or (self._idx.max(axis=0) >= tensor.readings.shape).any():
+        A cell already held is a no-op.  A malformed triple or an index
+        outside the mask raises ValueError before anything is written.
+        """
+        cells = np.array(list(triples) or np.empty((0, 3)), dtype=np.int64)
+        if cells.ndim != 2 or cells.shape[1] != 3:
+            raise ValueError("observations must be (home, appliance, month) triples")
+        if (cells < 0).any() or (cells >= self.mask.shape).any():
             raise ValueError("observation set references an out-of-range cell")
+        mask = self.mask.copy()
+        mask[tuple(cells.T)] = True
+        return ObservationSet(mask)
 
     def check_observed(self, tensor: EnergyTensor) -> None:
-        self.check_bounds(tensor)
-        ii, jj, kk = self.arrays()
-        if len(ii) and not tensor.mask[ii, jj, kk].all():
+        if self.mask.shape != tensor.mask.shape:
+            raise ValueError(f"observation mask shape {self.mask.shape} differs from "
+                             f"the tensor's {tensor.mask.shape}")
+        if (self.mask & ~tensor.mask).any():
             raise ValueError("observation set references a cell with no ground truth")
 
     def __len__(self) -> int:
-        return len(self._idx)
-
-    def __contains__(self, triple) -> bool:
-        try:
-            cell = _as_cells([triple])
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return bool((self._idx.T == cell).all(axis=0).any())
-
-    def __iter__(self):
-        return map(tuple, self._idx.tolist())
-
-    def issubset(self, other: "ObservationSet") -> bool:
-        return len(self.union(other)) == len(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ObservationSet):
-            return NotImplemented
-        return np.array_equal(self._idx, other._idx)
-
-    def __hash__(self):
-        return hash(self._idx.tobytes())
-
-    def __repr__(self):
-        return f"ObservationSet({len(self)} cells)"
+        return int(np.count_nonzero(self.mask))
 
 
 @dataclass(frozen=True)
@@ -280,7 +211,6 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
     given (rows aligned with the season factor matrix), plain norms
     otherwise.
     """
-    omega.check_observed(tensor)
     if season_prior is not None:
         season_prior = np.asarray(season_prior, dtype=float)
         if season_prior.shape != factors.S.shape:
@@ -294,15 +224,19 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
 def masked_readings(tensor: EnergyTensor, omega: ObservationSet):
     """(W, XW, cols): the observed columns of the matricized 0/1 mask.
 
-    ``cols`` are the columns j*T + k of the (M, N*T) matricized mask that
-    hold at least one observed cell; ``W`` and ``XW`` = readings * W keep
-    only those columns, shape (M, len(cols)).  Every other column is all
-    zero and adds nothing to any contraction with the mask.
+    ``cols`` are the columns j*T + k of the (M, N*T) matricized
+    ``omega.mask`` that hold at least one observed cell; ``W`` (as float)
+    and ``XW`` = readings * W keep only those columns, shape
+    (M, len(cols)).  Every other column is all zero and adds nothing to
+    any contraction with the mask.  A mask whose shape differs from the
+    tensor's, or that holds a cell with no ground truth, raises
+    ValueError.
     """
+    omega.check_observed(tensor)
     M = tensor.num_homes
-    W = omega.dense_mask(tensor.readings.shape).reshape(M, -1)
+    W = omega.mask.reshape(M, -1)
     cols = np.flatnonzero(W.any(axis=0))
-    W = W[:, cols]
+    W = W[:, cols].astype(float)
     return W, tensor.readings.reshape(M, -1)[:, cols] * W, cols
 
 

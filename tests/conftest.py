@@ -18,9 +18,7 @@ def tiny_tensor():
 
 
 def full_omega(tensor):
-    M, N, T = tensor.readings.shape
-    return ObservationSet.from_triples(
-        (i, j, k) for i in range(M) for j in range(N) for k in range(T))
+    return ObservationSet(np.ones(tensor.readings.shape, dtype=bool))
 
 
 @pytest.fixture

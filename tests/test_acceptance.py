@@ -63,8 +63,7 @@ def test_c02_noiseless_rank2_recovery_over_20_seeds():
         cfg = SyntheticConfig(num_homes=10, num_appliances=4, num_months=12,
                               true_rank=2, noise_sigma=0.0, seed=seed)
         tensor, _ = generate_synthetic(cfg)
-        omega = ObservationSet.from_triples(
-            (i, j, k) for i in range(10) for j in range(5) for k in range(12))
+        omega = ObservationSet(np.ones((10, 5, 12), dtype=bool))
         mc = ModelConfig(rank=2, lambda1=1e-6, lambda2=1e-6, lambda3=1e-6,
                          max_sweeps=200, tol=1e-12, seed=seed + 100)
         from actsense import fit

@@ -28,7 +28,7 @@ def ridge_oracle(vecs, values, lam, prior=None):
 def scatter_stats(tensor, omega, factors, lams):
     """Normal equations by np.add.at: one outer product per observed cell,
     added to the precision of the row that the cell touches."""
-    ii, jj, kk = omega.arrays()
+    ii, jj, kk = np.nonzero(omega.mask)
     e = tensor.readings[ii, jj, kk]
     H, A, S = factors.H, factors.A, factors.S
     out = []
@@ -93,7 +93,7 @@ def oracle_case(kind, rank):
         # one draw per cell, in C order, even where coverage is 0
         mask = np.ones((M, N, T), dtype=bool) if coverage == 1.0 \
             else rng.random((M, N, T)) < coverage
-    omega = ObservationSet.from_triples(np.argwhere(mask))
+    omega = ObservationSet(mask)
     f = LatentFactors(H=rng.random((M, rank)), A=rng.random((N, rank)),
                       S=rng.random((T, rank)), rank=rank)
     return tensor, omega, f, (0.7, 1.9, 3.1)
@@ -103,9 +103,10 @@ class TestAccumulateStats:
     def test_empty_omega_regularizer_seed(self, tiny_tensor):
         cfg = ModelConfig(rank=2, lambda1=1.5, lambda2=2.5, lambda3=3.5)
         f = init_factors(tiny_tensor, cfg, resolve_caps(tiny_tensor, cfg))
-        stats = accumulate_stats(tiny_tensor, ObservationSet.empty(), f, cfg)
+        empty = ObservationSet.empty(tiny_tensor.readings.shape)
+        stats = accumulate_stats(tiny_tensor, empty, f, cfg)
         _, home_rhs, _, _, season_precision, season_rhs = sweep_stats(
-            tiny_tensor, ObservationSet.empty(), f, config_lams(cfg))
+            tiny_tensor, empty, f, config_lams(cfg))
         np.testing.assert_array_equal(stats.home_precision,
                                       np.tile(1.5 * np.eye(2), (2, 1, 1)))
         np.testing.assert_array_equal(stats.app_precision,
@@ -122,7 +123,7 @@ class TestAccumulateStats:
         f = LatentFactors(H=np.ones((1, 2)), A=np.ones((1, 2)),
                           S=np.ones((1, 2)), rank=2)  # a o s = [1, 1]
         cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0, lambda3=1.0)
-        omega = ObservationSet.from_triples([(0, 0, 0)])
+        omega = ObservationSet(np.ones((1, 1, 1), dtype=bool))
         stats = accumulate_stats(tensor, omega, f, cfg)
         home_rhs = sweep_stats(tensor, omega, f, config_lams(cfg))[1]
         np.testing.assert_array_equal(stats.home_precision[0],
@@ -137,10 +138,10 @@ class TestAccumulateStats:
         cells = [(i, j, k) for i in range(2) for j in range(3) for k in range(3)]
         rng.shuffle(cells)
         part1, part2 = cells[:9], cells[9:]
-        s_all, s1, s2 = (accumulate_stats(tiny_tensor, ObservationSet.from_triples(c), f, cfg)
+        empty = ObservationSet.empty(tiny_tensor.readings.shape)
+        s_all, s1, s2 = (accumulate_stats(tiny_tensor, empty.union(c), f, cfg)
                          for c in (cells, part1, part2))
-        r_all, r1, r2 = (sweep_stats(tiny_tensor, ObservationSet.from_triples(c), f,
-                                     config_lams(cfg))[1]
+        r_all, r1, r2 = (sweep_stats(tiny_tensor, empty.union(c), f, config_lams(cfg))[1]
                          for c in (cells, part1, part2))
         lam_seed = np.tile(0.7 * np.eye(2), (2, 1, 1))
         np.testing.assert_allclose(s_all.home_precision,
@@ -151,9 +152,10 @@ class TestAccumulateStats:
     def test_out_of_range_rejected(self, tiny_tensor):
         cfg = ModelConfig(rank=2)
         f = init_factors(tiny_tensor, cfg, resolve_caps(tiny_tensor, cfg))
+        # a cell past the tensor's last home needs a mask larger than the tensor
+        beyond = ObservationSet.empty((10, 3, 3)).union([(9, 0, 0)])
         with pytest.raises(ValueError):
-            accumulate_stats(tiny_tensor, ObservationSet.from_triples([(9, 0, 0)]),
-                             f, cfg)
+            accumulate_stats(tiny_tensor, beyond, f, cfg)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", list(ORACLE_MASKS))
@@ -180,7 +182,7 @@ class TestAccumulateStats:
         tensor, omega, f, lams = oracle_case(kind, rank)
         cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
         prior = np.random.default_rng(rank).random(f.S.shape) if with_prior else None
-        W = omega.dense_mask(tensor.readings.shape)
+        W = omega.mask.astype(float)
         resid = W * (np.einsum("ir,jr,kr->ijk", f.H, f.A, f.S) - tensor.readings)
         s_term = f.S if prior is None else f.S - prior
         want = (np.sum(resid ** 2) + lams[0] * np.sum(f.H ** 2)
@@ -376,7 +378,7 @@ class TestFit:
     def test_empty_omega_shrinks_to_zero(self, tiny_tensor):
         cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0, lambda3=1.0,
                           max_sweeps=5, seed=0)
-        factors, _, report = fit(tiny_tensor, ObservationSet.empty(), cfg)
+        factors, _, report = fit(tiny_tensor, ObservationSet.empty(tiny_tensor.readings.shape), cfg)
         assert np.linalg.norm(factors.H) == 0.0
         assert np.linalg.norm(factors.A) == 0.0
         trace = np.asarray(report.objective_trace)
@@ -483,7 +485,7 @@ def test_100_sweep_fit_matches_frozen_factors():
         noise_sigma=0.05, seed=17))
     rng = np.random.default_rng(17)
     M, N, T = tensor.readings.shape
-    omega = ObservationSet.from_triples(
+    omega = ObservationSet.empty((M, N, T)).union(
         (i, j, k) for i in range(M) for j in range(N) for k in range(T)
         if j == tensor.aggregate_index or rng.random() < 0.4)
     prior = rng.uniform(0.5, 3.0, size=(T, 2))
@@ -506,7 +508,7 @@ def _committee_instance():
         noise_sigma=0.05, seed=1))
     rng = np.random.default_rng(1)
     M, N, T = tensor.readings.shape
-    omega = ObservationSet.from_triples(
+    omega = ObservationSet.empty((M, N, T)).union(
         (i, j, k) for i in range(M) for j in range(N) for k in range(T - 2)
         if j == tensor.aggregate_index or rng.random() < 0.2)
     return tensor, omega
@@ -556,7 +558,7 @@ class TestFitCommittee:
         tensor, omega = _committee_instance()
         configs = _committee_configs()
         model = replace(configs[1], seed=99)
-        earlier = ObservationSet.from_triples(c for c in omega if c[2] < 3)
+        earlier = ObservationSet(omega.mask & (np.arange(tensor.num_months) < 3))
         warm, _, _ = fit(tensor, earlier, model)
         T = tensor.num_months
         prior = np.linspace(0.5, 2.0, 2 * T).reshape(T, 2)
@@ -644,7 +646,8 @@ def block_gradient_ratio(seed):
                           appliance_names=tuple(["aggregate"] + [f"a{j}" for j in range(N - 1)]))
     cells = [(i, j, k) for i in range(M) for j in range(N) for k in range(T)]
     keep = rng.random(len(cells)) < 0.6
-    omega = ObservationSet.from_triples([c for c, k in zip(cells, keep) if k] or [cells[0]])
+    omega = ObservationSet.empty((M, N, T)).union(
+        [c for c, k in zip(cells, keep) if k] or [cells[0]])
     cfg = ModelConfig(rank=r, lambda1=0.8, lambda2=0.8, lambda3=0.8)
     factors = LatentFactors(H=rng.random((M, r)), A=rng.random((N, r)),
                             S=rng.random((T, r)), rank=r)

@@ -477,6 +477,27 @@ def test_malformed_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, env_seed", [
+    (["simulate", "--seed", "-1"], None),
+    (["sweep", "--seeds", "-2", "--L", "1"], None),
+    (["generate", "--seed", "-1"], None),
+    (["generate"], "-3"),
+    (["simulate"], "-3"),
+], ids=["simulate", "sweep-seeds", "generate", "generate-env", "simulate-env"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv, env_seed):
+    monkeypatch.delenv("ACTSENSE_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("ACTSENSE_SEED", env_seed)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "generate":
+        argv = [*argv, "--homes", "4", "--appliances", "2", "--months", "3"]
+    else:
+        argv = [*argv, "--data", "missing.csv"]  # reading it would exit 2
+    assert main([*argv, "-o", "out"]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_committee_unchecked_when_qbc_does_not_run(dataset, tmp_path):
     rc = main(["simulate", "--data", str(dataset), "--strategy", "random",
                "--committee", "2", "--L", "1", "--T", "2", "--folds", "2",

@@ -30,29 +30,31 @@ def _cp_kc():
 class TestReveal:
     def test_first_month_adds_every_bill(self, small_world):
         tensor, split, mc = small_world
-        state = SimState.initial(seed=0)
+        state = SimState.initial(tensor.readings.shape, seed=0)
         omega = reveal(state, tensor, 0)
         assert len(omega) == tensor.num_homes
-        assert all(j == tensor.aggregate_index for _, j, _ in omega)
+        assert omega.mask[:, tensor.aggregate_index, 0].all()
 
     def test_installed_pair_reading_arrives_next_month(self, small_world):
         tensor, split, mc = small_world
-        state = SimState(month=0, omega=reveal(SimState.initial(0), tensor, 0),
+        state = SimState(month=0,
+                         omega=reveal(SimState.initial(tensor.readings.shape), tensor, 0),
                          installed={(2, 1): 0}, seed=0)
         omega = reveal(state, tensor, 1)
-        assert (2, 1, 1) in omega
-        assert (2, 1, 0) not in omega
+        assert omega.mask[2, 1, 1]
+        assert not omega.mask[2, 1, 0]
 
     def test_two_installations_accumulate(self, small_world):
         tensor, split, mc = small_world
-        omega0 = reveal(SimState.initial(0), tensor, 0)
+        omega0 = reveal(SimState.initial(tensor.readings.shape), tensor, 0)
         state = SimState(month=0, omega=omega0, installed={(0, 1): 0}, seed=0)
         omega1 = reveal(state, tensor, 1)
         state = SimState(month=1, omega=omega1, installed={(0, 1): 0, (3, 2): 1},
                          seed=0)
         omega2 = reveal(state, tensor, 2)
-        added = omega2.entries - omega1.entries
-        assert added == {(i, 0, 2) for i in range(8)} | {(0, 1, 2), (3, 2, 2)}
+        added = omega2.mask & ~omega1.mask
+        assert set(zip(*np.nonzero(added))) == ({(i, 0, 2) for i in range(8)}
+                                                | {(0, 1, 2), (3, 2, 2)})
 
     def test_missing_ground_truth_skipped(self, small_world):
         tensor, split, mc = small_world
@@ -62,42 +64,44 @@ class TestReveal:
         from actsense import EnergyTensor
         gappy = EnergyTensor(readings=readings, mask=mask,
                              appliance_names=tensor.appliance_names)
-        state = SimState(month=0, omega=reveal(SimState.initial(0), gappy, 0),
+        state = SimState(month=0,
+                         omega=reveal(SimState.initial(gappy.readings.shape), gappy, 0),
                          installed={(1, 2): 0}, seed=0)
         omega = reveal(state, gappy, 1)
-        assert (1, 2, 1) not in omega
+        assert not omega.mask[1, 2, 1]
 
     def test_wrong_month_rejected(self, small_world):
         tensor, split, mc = small_world
         with pytest.raises(ValueError):
-            reveal(SimState.initial(0), tensor, 3)
+            reveal(SimState.initial(tensor.readings.shape), tensor, 3)
 
 
 class TestStepMonth:
     def test_zero_budget_stays_passive(self, small_world):
         tensor, split, mc = small_world
         cp, kc = _cp_kc()
-        state = SimState.initial(seed=1)
+        state = SimState.initial(tensor.readings.shape, seed=1)
         for _ in range(3):
             state, log = step_month(state, tensor, "random", 0, mc, cp, kc, split)
             assert log["pairs"] == []
         assert state.installed == {}
-        ii, jj, kk = state.omega.arrays()
+        _, jj, _ = np.nonzero(state.omega.mask)
         assert (jj == tensor.aggregate_index).all()
 
     def test_fresh_selection_not_observed_same_month(self, small_world):
         tensor, split, mc = small_world
         cp, kc = _cp_kc()
-        state, log = step_month(SimState.initial(seed=2), tensor, "actsense", 2,
-                                mc, cp, kc, split)
+        state, log = step_month(SimState.initial(tensor.readings.shape, seed=2), tensor,
+                                "actsense", 2, mc, cp, kc, split)
         for i, j in state.installed:
-            assert (i, j, 0) not in state.omega
+            assert not state.omega.mask[i, j, 0]
 
     def test_unknown_strategy_rejected(self, small_world):
         tensor, split, mc = small_world
         cp, kc = _cp_kc()
         with pytest.raises(ValueError):
-            step_month(SimState.initial(0), tensor, "vbv", 1, mc, cp, kc, split)
+            step_month(SimState.initial(tensor.readings.shape), tensor, "vbv", 1,
+                       mc, cp, kc, split)
 
     @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)], ids=["derived", "configured"])
     def test_bound_mode_alphas_use_the_fit_caps(self, small_world, monkeypatch, caps):
@@ -113,8 +117,8 @@ class TestStepMonth:
             return real_select(pool, L, t, factors, stats, season_prior, cp, kc, **kw)
 
         monkeypatch.setattr(strategies, "select_actsense", capturing_select)
-        state, _ = step_month(SimState.initial(seed=2), tensor, "actsense", 2,
-                              mc, cp, kc, split)
+        state, _ = step_month(SimState.initial(tensor.readings.shape, seed=2), tensor,
+                              "actsense", 2, mc, cp, kc, split)
         (got,) = given
         want = factor_error_alphas(len(state.omega), cp, mc, resolve_caps(tensor, mc))
         assert (got.alpha_home, got.alpha_app) == want
@@ -156,16 +160,16 @@ class TestRun:
     def test_omega_monotone_and_reveal_schedule(self, small_world):
         tensor, split, mc = small_world
         cp, kc = _cp_kc()
-        state = SimState.initial(seed=9)
+        state = SimState.initial(tensor.readings.shape, seed=9)
         snapshots = []
         for _ in range(6):
             state, _ = step_month(state, tensor, "actsense", 1, mc, cp, kc, split)
             snapshots.append((state.month, state.omega, dict(state.installed)))
         for (m1, o1, _), (m2, o2, _) in zip(snapshots, snapshots[1:]):
-            assert o1.issubset(o2)
+            assert not (o1.mask & ~o2.mask).any()
         final_month, final_omega, installed = snapshots[-1]
         for (x, y), m in installed.items():
-            got = sum(1 for k in range(final_month + 1) if (x, y, k) in final_omega)
+            got = np.count_nonzero(final_omega.mask[x, y, :final_month + 1])
             assert got == max(0, final_month - m)
 
     def test_test_home_breakdown_cells_never_observed(self, small_world):
@@ -174,7 +178,7 @@ class TestRun:
                                   model_config=mc, seed=13,
                                   kernel_config_kwargs={"sigma_window": 3,
                                                         "horizon": 6})
-        ii, jj, kk = state.omega.arrays()
+        ii, jj, kk = np.nonzero(state.omega.mask)
         test_set = set(split.test_homes)
         for i, j in zip(ii, jj):
             if i in test_set:

@@ -256,7 +256,7 @@ class TestSelectQbc:
         monkeypatch.setattr(als_engine, "fit_committee", counting_fit_committee)
         monkeypatch.setattr(als_engine, "fit", no_solo_fit)
         monkeypatch.setattr(strategies, "select_qbc", fitless_select)
-        state = SimState.initial(seed=4)
+        state = SimState.initial(tensor.readings.shape, seed=4)
         for t in range(3):
             previous = state.factors
             state, month_log = step_month(state, tensor, "qbc", 1, mc, cp, kc, split,

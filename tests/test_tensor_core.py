@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from actsense import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
-                      masked_objective)
+                      accumulate_stats, fit, masked_objective, resolve_caps)
+from actsense.als_engine import init_factors
 from actsense.tensor_core import khatri_rao
 
 
@@ -99,21 +100,21 @@ class TestMaskedObjective:
         f = LatentFactors(H=np.zeros((1, 2)), A=np.zeros((1, 2)),
                           S=np.zeros((1, 2)), rank=2)
         cfg = ModelConfig(rank=2, lambda1=0.0, lambda2=0.0, lambda3=0.0)
-        assert masked_objective(tensor, ObservationSet.empty(), f, cfg) == 0.0
+        assert masked_objective(tensor, ObservationSet.empty((1, 1, 1)), f, cfg) == 0.0
 
     def test_single_home_regularizer(self):
         tensor = _tensor_1home()
         f = LatentFactors(H=np.array([[3.0, 4.0]]), A=np.zeros((1, 2)),
                           S=np.zeros((1, 2)), rank=2)
         cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=0.0, lambda3=0.0)
-        assert masked_objective(tensor, ObservationSet.empty(), f, cfg) == 25.0
+        assert masked_objective(tensor, ObservationSet.empty((1, 1, 1)), f, cfg) == 25.0
 
     def test_exact_fit_residual(self):
         tensor = _tensor_1home(24.0)
         f = LatentFactors(H=np.array([[2.0]]), A=np.array([[3.0]]),
                           S=np.array([[4.0]]), rank=1)
         cfg = ModelConfig(rank=1, lambda1=0.0, lambda2=0.0, lambda3=0.0)
-        omega = ObservationSet.from_triples([(0, 0, 0)])
+        omega = ObservationSet(np.ones((1, 1, 1), dtype=bool))
         assert masked_objective(tensor, omega, f, cfg) == 0.0
 
     def test_unobserved_cell_rejected(self):
@@ -125,7 +126,7 @@ class TestMaskedObjective:
         f = LatentFactors(H=np.ones((1, 1)), A=np.ones((2, 1)),
                           S=np.ones((1, 1)), rank=1)
         with pytest.raises(ValueError):
-            masked_objective(tensor, ObservationSet.from_triples([(0, 1, 0)]),
+            masked_objective(tensor, ObservationSet(~mask),
                              f, ModelConfig(rank=1))
 
     def test_nonnegative(self, tiny_tensor, tiny_omega):
@@ -179,79 +180,89 @@ class TestEnergyTensor:
             tiny_tensor.readings[0, 0, 0] = 5.0
 
 
+def cells_of(omega):
+    """The observed cells of ``omega`` as a set of int triples."""
+    return set(zip(*(a.tolist() for a in np.nonzero(omega.mask))))
+
+
 class TestObservationSet:
     def test_union_grows(self):
-        a = ObservationSet.from_triples([(0, 0, 0)])
+        a = ObservationSet.empty((2, 1, 1)).union([(0, 0, 0)])
         b = a.union([(1, 0, 0)])
-        assert a.issubset(b) and len(b) == 2
+        assert not (a.mask & ~b.mask).any() and len(a) == 1 and len(b) == 2
 
     def test_arrays_sorted(self):
-        o = ObservationSet.from_triples([(1, 0, 0), (0, 1, 0), (0, 0, 2)])
-        ii, jj, kk = o.arrays()
+        o = ObservationSet.empty((2, 2, 3)).union([(1, 0, 0), (0, 1, 0), (0, 0, 2)])
+        ii, jj, kk = np.nonzero(o.mask)
         assert list(zip(ii, jj, kk)) == [(0, 0, 2), (0, 1, 0), (1, 0, 0)]
 
     def test_bounds_check(self, tiny_tensor):
         with pytest.raises(ValueError):
-            ObservationSet.from_triples([(5, 0, 0)]).check_bounds(tiny_tensor)
+            ObservationSet.empty(tiny_tensor.readings.shape).union([(5, 0, 0)])
+
+    def test_mask_is_a_frozen_copy(self):
+        given = np.zeros((2, 3, 3), dtype=bool)
+        o = ObservationSet(given)
+        given[0, 0, 0] = True
+        assert len(o) == 0 and given.flags.writeable
+        with pytest.raises(ValueError):
+            o.mask[0, 0, 0] = True
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_frozenset_oracle(self, seed, tiny_tensor):
-        # cells drawn from [-2, 6)^3: overlapping, duplicated and out-of-range
+    def test_matches_frozenset_oracle(self, seed):
+        # cells drawn from [0, 6)^3: overlapping and duplicated
         rng = np.random.default_rng(seed)
 
         def draw(n):
-            return [tuple(row) for row in rng.integers(-2, 6, size=(n, 3)).tolist()]
+            return [tuple(row) for row in rng.integers(0, 6, size=(n, 3)).tolist()]
 
+        empty = ObservationSet.empty((6, 6, 6))
         first = draw(40)
         second = draw(40) + first[:5] + first[:5]
-        a, b = ObservationSet.from_triples(first), ObservationSet.from_triples(second)
+        a, b = empty.union(first), empty.union(second)
         oa, ob = frozenset(first), frozenset(second)
         u = a.union(second)
         ou = oa | ob
         assert (len(a), len(b), len(u)) == (len(oa), len(ob), len(ou))
-        assert list(u) == sorted(ou) and list(a) == sorted(oa)
-        assert all(type(v) is int for cell in u for v in cell)
-        assert u.entries == ou
-        ii, jj, kk = u.arrays()
+        assert cells_of(u) == ou and cells_of(a) == oa and cells_of(b) == ob
+        ii, jj, kk = np.nonzero(u.mask)
         assert list(zip(ii.tolist(), jj.tolist(), kk.tolist())) == sorted(ou)
-        for cell in draw(60):
-            assert (cell in u) == (cell in ou)
-            assert (cell in a) == (cell in oa)
-        assert a.issubset(u) and b.issubset(u)
-        assert ObservationSet.from_triples(first[:7]).issubset(a)
-        assert a.issubset(b) == (oa <= ob) and u.issubset(a) == (ou <= oa)
-        assert (a == b) == (oa == ob)
-        assert u == a.union(b) == ObservationSet.from_triples(sorted(ou, reverse=True))
-        assert hash(u) == hash(a.union(b))
-        assert u != ObservationSet.from_triples(sorted(ou)[1:])
-        # every draw holds a cell with a negative index
-        with pytest.raises(ValueError):
-            u.check_bounds(tiny_tensor)
+        assert np.array_equal(u.mask, empty.union(sorted(ou, reverse=True)).mask)
 
     def test_empty_set(self, tiny_tensor):
-        e = ObservationSet.empty()
-        assert len(e) == 0 and list(e) == [] and e.entries == frozenset()
-        assert all(len(x) == 0 for x in e.arrays())
-        assert (0, 0, 0) not in e
-        assert e.issubset(e) and e == ObservationSet.from_triples([]) == e.union([])
+        e = ObservationSet.empty(tiny_tensor.readings.shape)
+        assert len(e) == 0 and not e.mask.any()
+        assert e.mask.shape == tiny_tensor.readings.shape
+        assert np.array_equal(e.union([]).mask, e.mask)
         e.check_observed(tiny_tensor)
         one = e.union([(1, 2, 0)])
-        assert list(one) == [(1, 2, 0)] and e.issubset(one) and not one.issubset(e)
-        assert not e.dense_mask((2, 3, 3)).any()
+        assert cells_of(one) == {(1, 2, 0)} and len(e) == 0
 
     @pytest.mark.parametrize("cell", [(2, 0, 0), (0, 3, 0), (0, 0, 3), (0, -1, 0)])
     def test_out_of_range_cells(self, cell, tiny_tensor):
-        o = ObservationSet.from_triples([(1, 1, 1), cell])
-        assert cell in o and len(o) == 2
+        o = ObservationSet.empty(tiny_tensor.readings.shape).union([(1, 1, 1)])
         with pytest.raises(ValueError):
-            o.check_bounds(tiny_tensor)
-        with pytest.raises(ValueError):
-            o.check_observed(tiny_tensor)
+            o.union([(0, 0, 0), cell])
+        assert cells_of(o) == {(1, 1, 1)}
 
     @pytest.mark.parametrize("bad", [[(1, 2)], [(1, 2, 3, 4)], [(1, 2, 3), (4, 5)]])
     def test_malformed_triples_rejected(self, bad):
+        o = ObservationSet.empty((6, 6, 6)).union([(1, 1, 1)])
         with pytest.raises(ValueError):
-            ObservationSet.from_triples(bad)
+            o.union(bad)
+        assert cells_of(o) == {(1, 1, 1)}
+
+    def test_wrong_shape_mask_rejected(self, tiny_tensor):
+        # the tiny tensor's size in another shape
+        omega = ObservationSet(np.ones((3, 2, 3), dtype=bool))
+        cfg = ModelConfig(rank=2)
+        f = init_factors(tiny_tensor, cfg, resolve_caps(tiny_tensor, cfg))
+        with pytest.raises(ValueError):
+            fit(tiny_tensor, omega, cfg)
+        with pytest.raises(ValueError):
+            accumulate_stats(tiny_tensor, omega, f, cfg)
+        with pytest.raises(ValueError):
+            masked_objective(tiny_tensor, omega, f, cfg)
 
 
 class TestModelConfig:

@@ -193,8 +193,9 @@ class CliConfig:
         for key in ("alpha_home", "alpha_app"):
             merged[key] = alpha if merged[key] is None else merged[key]
         resolved = cls(**merged)
-        if resolved.L < 0 or resolved.T < 1 or resolved.folds < 2:
-            raise UsageError("need L >= 0, T >= 1 and folds >= 2")
+        if (resolved.L < 0 or resolved.T < 1 or resolved.folds < 2
+                or not 0.0 <= resolved.val_fraction < 1.0):
+            raise UsageError("need L >= 0, T >= 1, folds >= 2 and 0 <= val_fraction < 1")
         try:
             model = resolved.model_config()
         except ValueError as exc:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +134,13 @@ def load_csv(path, min_coverage: float = 0.8):
         raise DataFormatError(f"{path}: no data rows")
 
     homes = sorted({k[0] for k in cells})
-    labels = sorted({k[1] for k in cells})
+    counts = Counter(k[1] for k in cells)
     months = sorted({k[2] for k in cells})
     M, T = len(homes), len(months)
 
     kept = []
-    for label in labels:
-        coverage = sum(1 for (h, a, m) in cells if a == label) / (M * T)
+    for label in sorted(counts):
+        coverage = counts[label] / (M * T)
         if coverage >= min_coverage:
             kept.append(label)
         else:
@@ -164,10 +165,7 @@ def load_csv(path, min_coverage: float = 0.8):
     tensor = EnergyTensor(readings=readings, mask=mask,
                           appliance_names=(AGGREGATE_NAME, *kept),
                           aggregate_index=0)
-    manifest = DatasetManifest(source="csv", appliances=tensor.appliance_names,
-                               home_count=M, month_range=(months[0], months[-1]),
-                               checksum=tensor_checksum(tensor))
-    return tensor, manifest
+    return tensor, build_manifest(tensor, "csv", months)
 
 
 def save_csv(tensor: EnergyTensor, path, home_ids=None, months=None) -> None:

@@ -116,8 +116,11 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
     """k folds over homes; each home tests exactly once.
 
     Within each fold the remaining homes are shuffled once (seeded) and
-    the last ``val_fraction`` of them become the validation group.
+    the last ``val_fraction`` of them, which must lie in [0, 1), become
+    the validation group.
     """
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     homes = [int(h) for h in home_ids]
     if len(homes) < k:
         raise ValueError(f"need at least {k} homes for {k}-fold splitting")
@@ -129,8 +132,8 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
     for f in range(k):
         size = base + (1 if f < extra else 0)
         test = order[start:start + size]
+        rest = order[:start] + order[start + size:]
         start += size
-        rest = [h for h in order if h not in test]
         n_val = int(len(rest) * val_fraction)
         if val_fraction > 0 and len(rest) > 0:
             n_val = max(1, n_val)

@@ -114,10 +114,10 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
             tensor, omega, [fit_config, *committee],
             warm_starts=[state.factors] + [None] * len(committee),
             season_priors=[season_prior] + [None] * len(committee))
-        (factors, fit_report), members = fitted[0], [f for f, _ in fitted[1:]]
+        factors, members = fitted[0][0], [f for f, _ in fitted[1:]]
         stats = als_engine.accumulate_stats(tensor, omega, factors, fit_config)
     else:
-        factors, stats, fit_report = als_engine.fit(
+        factors, stats, _ = als_engine.fit(
             tensor, omega, fit_config, season_prior=season_prior,
             warm_start=state.factors)
 
@@ -156,7 +156,6 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
         "pairs": [list(p) for p in result.chosen],
         "scores": list(result.scores),
         "omega_size": len(omega),
-        "sweeps": fit_report.sweeps_run,
         "rmse_row": test_row,
         "val_rmse_row": val_row,
     }

@@ -1,9 +1,9 @@
 """Pluggable <home, appliance> selection policies.
 
 All strategies consume the same candidate pool (non-instrumented train
-pairs, aggregate appliance excluded) and return at most L pairs.  Score
-ties break by ascending (home, appliance) index so reruns are
-deterministic.
+pairs, aggregate appliance excluded), held as parallel home and
+appliance index arrays, and return at most L pairs.  Score ties break by
+ascending (home, appliance) index so reruns are deterministic.
 """
 
 from __future__ import annotations
@@ -20,32 +20,38 @@ from .uncertainty import ConfidenceParams, InvertedStats, KernelConfig
 STRATEGY_NAMES = ("actsense", "random", "qbc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePool:
-    """Pairs still available for instrumentation."""
+    """Pairs still open for instrumentation: (homes[k], apps[k]), frozen int64 arrays."""
 
-    pairs: tuple
+    homes: np.ndarray
+    apps: np.ndarray
 
     def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("candidate pool contains duplicate pairs")
-        object.__setattr__(self, "pairs", pairs)
+        for name in ("homes", "apps"):
+            index = np.array(getattr(self, name), dtype=np.int64)
+            index.flags.writeable = False
+            object.__setattr__(self, name, index)
+        pairs = np.stack([self.homes, self.apps])  # ValueError on unequal shapes
+        # once sorted, a repeated pair sits next to its copy
+        if pairs.ndim != 2 or not np.diff(pairs[:, np.lexsort(pairs)], axis=1).any(0).all():
+            raise ValueError("candidate pool needs 1-D homes and apps and no duplicate pair")
 
     @classmethod
     def build(cls, train_homes, tensor: EnergyTensor, installed) -> "CandidatePool":
         """All (train home, breakdown appliance) pairs that are not yet
-        instrumented and have at least one ground-truth month."""
-        homes = sorted(int(h) for h in train_homes)
-        apps = tensor.breakdown_indices()
-        observable = tensor.mask[np.ix_(np.array(homes, dtype=np.int64),
-                                        np.array(apps, dtype=np.int64))].any(-1)
-        pairs = [(i, j) for i, row in zip(homes, observable.tolist())
-                 for j, seen in zip(apps, row) if seen and (i, j) not in installed]
-        return cls(tuple(pairs))
+        instrumented and have at least one ground-truth month, in
+        ascending (home, appliance) order."""
+        train = np.zeros(tensor.num_homes, dtype=bool)
+        train[np.fromiter(train_homes, dtype=np.int64)] = True
+        open_ = tensor.mask.any(-1) & train[:, None]
+        open_[:, tensor.aggregate_index] = False
+        if installed:  # an empty index tuple would select every cell
+            open_[tuple(zip(*installed))] = False
+        return cls(*np.nonzero(open_))
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.homes)
 
 
 @dataclass(frozen=True)
@@ -58,16 +64,10 @@ class SelectionResult:
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
 
 
-def _top_by_score(pairs, scores, L):
-    """Largest-score pairs, ties by ascending (home, appliance)."""
-    if L <= 0 or len(pairs) == 0:
-        return SelectionResult(chosen=(), scores=())
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    order = np.lexsort((ys, xs, -np.asarray(scores, dtype=float)))
-    take = order[: min(L, len(pairs))]
-    return SelectionResult(chosen=tuple(pairs[i] for i in take),
-                           scores=tuple(float(scores[i]) for i in take))
+def _top_by_score(homes, apps, scores, L):
+    """The L largest-score pairs, ties by ascending (home, appliance)."""
+    take = np.lexsort((apps, homes, -scores))[:L]
+    return SelectionResult(chosen=tuple(zip(homes[take], apps[take])), scores=scores[take])
 
 
 def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
@@ -85,26 +85,25 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
         return SelectionResult(chosen=(), scores=())
     inv = uncertainty.invert_stats(stats)
     if not sequential:
-        scores = uncertainty.score_pairs(pool.pairs, t, factors, inv,
+        scores = uncertainty.score_pairs(pool.homes, pool.apps, t, factors, inv,
                                          season_prior, cp, kc, mode)
-        return _top_by_score(pool.pairs, scores, L)
+        return _top_by_score(pool.homes, pool.apps, scores, L)
 
-    inv_home = inv.home.copy()
-    inv_app = inv.app.copy()
-    remaining = list(pool.pairs)
+    live = InvertedStats(home=inv.home.copy(), app=inv.app.copy())
+    keep = np.ones(len(pool), dtype=bool)
     chosen, chosen_scores = [], []
     for _ in range(min(L, len(pool))):
-        live = InvertedStats(home=inv_home, app=inv_app)
-        scores = uncertainty.score_pairs(remaining, t, factors, live,
+        homes, apps = pool.homes[keep], pool.apps[keep]
+        scores = uncertainty.score_pairs(homes, apps, t, factors, live,
                                          season_prior, cp, kc, mode)
-        pick = _top_by_score(remaining, scores, 1)
+        pick = _top_by_score(homes, apps, scores, 1)
         (x, y), = pick.chosen
         chosen.append((x, y))
         chosen_scores.append(pick.scores[0])
-        remaining.remove((x, y))
+        keep &= (pool.homes != x) | (pool.apps != y)
         s_now = factors.S[t]
-        inv_home[x] = uncertainty.sherman_morrison_update(inv_home[x], factors.A[y] * s_now)
-        inv_app[y] = uncertainty.sherman_morrison_update(inv_app[y], factors.H[x] * s_now)
+        live.home[x] = uncertainty.sherman_morrison_update(live.home[x], factors.A[y] * s_now)
+        live.app[y] = uncertainty.sherman_morrison_update(live.app[y], factors.H[x] * s_now)
     return SelectionResult(chosen=tuple(chosen), scores=tuple(chosen_scores))
 
 
@@ -115,7 +114,7 @@ def select_random(pool: CandidatePool, L: int, rng_seed: int) -> SelectionResult
     rng = np.random.default_rng(rng_seed)
     n = min(L, len(pool))
     take = rng.choice(len(pool), size=n, replace=False)
-    return SelectionResult(chosen=tuple(pool.pairs[i] for i in take),
+    return SelectionResult(chosen=tuple(zip(pool.homes[take], pool.apps[take])),
                            scores=(0.0,) * n)
 
 
@@ -157,10 +156,8 @@ def select_qbc(pool: CandidatePool, L: int, members, month: int) -> SelectionRes
     """
     if L <= 0 or len(pool) == 0:
         return SelectionResult(chosen=(), scores=())
-    xs = np.array([p[0] for p in pool.pairs])
-    ys = np.array([p[1] for p in pool.pairs])
     preds = np.empty((len(members), len(pool)))
     for m, factors in enumerate(members):
-        preds[m] = np.einsum("nr,nr->n", factors.H[xs] * factors.A[ys],
+        preds[m] = np.einsum("nr,nr->n", factors.H[pool.homes] * factors.A[pool.apps],
                              np.broadcast_to(factors.S[month], (len(pool), factors.rank)))
-    return _top_by_score(pool.pairs, committee_variance(preds), L)
+    return _top_by_score(pool.homes, pool.apps, committee_variance(preds), L)

@@ -185,19 +185,15 @@ def integrated_uncertainty(x: int, y: int, t: int, factors: LatentFactors,
     return total
 
 
-def score_pairs(pairs, t: int, factors: LatentFactors, inv: InvertedStats,
+def score_pairs(homes, apps, t: int, factors: LatentFactors, inv: InvertedStats,
                 season_prior: np.ndarray | None, cp: ConfidenceParams,
                 kc: KernelConfig, mode: str = "full") -> np.ndarray:
-    """Vectorized integrated uncertainty for a list of (home, appliance) pairs."""
-    if len(pairs) == 0:
-        return np.zeros(0)
-    xs = np.array([p[0] for p in pairs], dtype=np.int64)
-    ys = np.array([p[1] for p in pairs], dtype=np.int64)
-    inv_home = inv.home[xs]
-    inv_app = inv.app[ys]
-    h_rows = factors.H[xs]
-    a_rows = factors.A[ys]
-    total = np.zeros(len(pairs))
+    """Vectorized integrated uncertainty, one score per pair (homes[k], apps[k])."""
+    inv_home = inv.home[homes]
+    inv_app = inv.app[apps]
+    h_rows = factors.H[homes]
+    a_rows = factors.A[apps]
+    total = np.zeros(len(homes))
     for tp in _months_in_mode(t, kc, mode):
         w = triangle_weight(tp, t, kc)
         if w == 0.0:

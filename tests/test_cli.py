@@ -498,6 +498,17 @@ def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv, env_s
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("val_fraction", ["1.0", "1.5", "-0.5"])
+def test_val_fraction_outside_unit_interval_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                           val_fraction):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.conf").write_text(f"val_fraction={val_fraction}\n", encoding="utf-8")
+    argv = ["simulate", "--data", "missing.csv", "--config", "c.conf", "-o", "out"]
+    assert main(argv) == 1  # reading the missing data would exit 2
+    assert "0 <= val_fraction < 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.conf"]
+
+
 def test_committee_unchecked_when_qbc_does_not_run(dataset, tmp_path):
     rc = main(["simulate", "--data", str(dataset), "--strategy", "random",
                "--committee", "2", "--L", "1", "--T", "2", "--folds", "2",

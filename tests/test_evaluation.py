@@ -5,7 +5,7 @@ from actsense import (EnergyTensor, GridSpec, ModelConfig, NumericalError,
                       SyntheticConfig, generate_synthetic, grid_search,
                       kfold_split, mean_rmse,
                       relative_improvement, rmse_appliance_month, year_rmse)
-from actsense.evaluation import map_tasks
+from actsense.evaluation import FoldSplit, map_tasks
 
 
 def _truth(values):
@@ -110,6 +110,22 @@ class TestKfold:
         a = kfold_split(range(20), k=4, seed=7)
         b = kfold_split(range(20), k=4, seed=7)
         assert a == b
+
+    def test_pinned_folds(self):
+        # every result depends on the split: these folds must not drift
+        assert kfold_split(range(11), k=3, val_fraction=0.25, seed=4) == [
+            FoldSplit(train_homes=(10, 9, 7, 6, 4, 3), validation_homes=(5,),
+                      test_homes=(1, 0, 8, 2)),
+            FoldSplit(train_homes=(1, 0, 8, 2, 4, 3), validation_homes=(5,),
+                      test_homes=(10, 9, 7, 6)),
+            FoldSplit(train_homes=(1, 0, 8, 2, 10, 9), validation_homes=(7, 6),
+                      test_homes=(4, 3, 5)),
+        ]
+
+    @pytest.mark.parametrize("val_fraction", [1.0, 1.5, -0.5])
+    def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
+        with pytest.raises(ValueError, match="val_fraction"):
+            kfold_split(range(10), k=2, val_fraction=val_fraction)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,15 @@ from actsense.uncertainty import InvertedStats, score_pairs
 from conftest import full_omega
 
 
+def pool_of(pairs):
+    """The pool holding ``pairs``, in the given order."""
+    return CandidatePool(homes=[i for i, _ in pairs], apps=[j for _, j in pairs])
+
+
+def pairs_of(pool):
+    return list(zip(pool.homes.tolist(), pool.apps.tolist()))
+
+
 def identity_stats(M, N, r=2):
     eye = lambda n: np.tile(np.eye(r), (n, 1, 1))
     return SufficientStats(home_precision=eye(M), app_precision=eye(N))
@@ -24,9 +34,8 @@ def identity_stats(M, N, r=2):
 class TestCandidatePool:
     def test_excludes_aggregate_installed_and_unobservable(self, tiny_tensor):
         pool = CandidatePool.build([0, 1], tiny_tensor, installed={(0, 1): 0})
-        assert (0, 1) not in pool.pairs
-        assert all(j != 0 for _, j in pool.pairs)
-        assert pool.pairs == ((0, 2), (1, 1), (1, 2))
+        assert pool.homes.dtype == pool.apps.dtype == np.int64
+        assert pairs_of(pool) == [(0, 2), (1, 1), (1, 2)]
 
     def test_unobservable_pair_dropped(self):
         readings = np.ones((1, 3, 2))
@@ -36,11 +45,22 @@ class TestCandidatePool:
         tensor = EnergyTensor(readings=readings, mask=mask,
                               appliance_names=("aggregate", "a", "b"))
         pool = CandidatePool.build([0], tensor, installed={})
-        assert pool.pairs == ((0, 1),)
+        assert pairs_of(pool) == [(0, 1)]
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            CandidatePool(pairs=((0, 1), (0, 1)))
+            pool_of(((0, 1), (0, 1)))
+
+    def test_index_arrays_are_frozen_copies(self):
+        homes, apps = np.array([1, 0]), np.array([2, 1])
+        pool = CandidatePool(homes=homes, apps=apps)
+        homes[0] = 5
+        assert pairs_of(pool) == [(1, 2), (0, 1)]
+        with pytest.raises(ValueError):
+            pool.homes[0] = 3
+        for bad in (([0, 1], [1]), ([[0]], [[1]])):
+            with pytest.raises(ValueError):
+                CandidatePool(*bad)
 
     @staticmethod
     def loop_oracle(train_homes, tensor, installed):
@@ -52,7 +72,7 @@ class TestCandidatePool:
                 if not tensor.mask[i, j, :].any():
                     continue
                 pairs.append((i, j))
-        return tuple(pairs)
+        return pairs
 
     @pytest.mark.parametrize("seed,aggregate", [(0, 0), (1, 0), (2, 2), (3, 4)])
     def test_build_matches_loop_oracle(self, seed, aggregate):
@@ -71,8 +91,12 @@ class TestCandidatePool:
         assert not mask[train].any(-1).all()
         assert any(p in installed for p in
                    ((int(i), j) for i in train for j in tensor.breakdown_indices()))
-        assert CandidatePool.build(train, tensor, installed).pairs == want
-        assert CandidatePool.build(list(train), tensor, installed).pairs == want
+        assert pairs_of(CandidatePool.build(train, tensor, installed)) == want
+        assert pairs_of(CandidatePool.build(list(train), tensor, installed)) == want
+        # nothing installed: every observable train pair is open
+        everything = self.loop_oracle(train, tensor, {})
+        assert len(everything) > len(want)
+        assert pairs_of(CandidatePool.build(train, tensor, {})) == everything
 
 
 class TestSelectActsense:
@@ -85,7 +109,7 @@ class TestSelectActsense:
         stats = identity_stats(2, 3)
         cp = ConfidenceParams(alpha_home=1.0, alpha_app=1.0)
         kc = KernelConfig(sigma_window=1, horizon=3)
-        pool = CandidatePool(pairs=((0, 1), (1, 1), (1, 2)))
+        pool = pool_of(((0, 1), (1, 1), (1, 2)))
         prior = np.ones((3, 2))
         return pool, factors, stats, prior, cp, kc
 
@@ -96,7 +120,7 @@ class TestSelectActsense:
 
     def test_singleton_pool(self):
         _, factors, stats, prior, cp, kc = self._setup()
-        pool = CandidatePool(pairs=((1, 2),))
+        pool = pool_of(((1, 2),))
         result = select_actsense(pool, 5, 1, factors, stats, prior, cp, kc)
         assert result.chosen == ((1, 2),)
 
@@ -131,7 +155,7 @@ class TestSelectActsense:
         kc = KernelConfig(sigma_window=3, horizon=8)
         for seed in range(20):
             factors, stats, pairs, prior = self._random_instance(seed)
-            pool = CandidatePool(pairs=pairs)
+            pool = pool_of(pairs)
             t = int(rng.integers(0, 8))
             result = select_actsense(pool, 1, t, factors, stats, prior, cp, kc)
             best = max(integrated_uncertainty(x, y, t, factors, stats, prior, cp, kc)
@@ -149,7 +173,7 @@ class TestSelectActsense:
         for seed in range(10):
             factors, stats, pairs, prior = self._random_instance(100 * rank + seed, r=rank)
             t = int(rng.integers(0, 8))
-            result = select_actsense(CandidatePool(pairs=pairs), 3, t, factors, stats,
+            result = select_actsense(pool_of(pairs), 3, t, factors, stats,
                                      prior, cp, kc, sequential=True)
             assert len(result.chosen) == 3
             home = stats.home_precision.copy()
@@ -157,7 +181,8 @@ class TestSelectActsense:
             remaining = list(pairs)
             for pick, score in zip(result.chosen, result.scores):
                 inv = InvertedStats(home=np.linalg.inv(home), app=np.linalg.inv(app))
-                scores = score_pairs(remaining, t, factors, inv, prior, cp, kc)
+                homes, apps = (np.array(ix) for ix in zip(*remaining))
+                scores = score_pairs(homes, apps, t, factors, inv, prior, cp, kc)
                 best = int(np.argmax(scores))
                 assert pick == remaining[best]
                 assert score == pytest.approx(scores[best], rel=1e-10)
@@ -177,20 +202,20 @@ class TestSelectActsense:
 
 class TestSelectRandom:
     def test_short_pool_returns_everything(self):
-        pool = CandidatePool(pairs=((0, 1), (1, 1)))
+        pool = pool_of(((0, 1), (1, 1)))
         result = select_random(pool, 10, rng_seed=0)
         assert sorted(result.chosen) == [(0, 1), (1, 1)]
         assert result.scores == (0.0, 0.0)
 
     def test_deterministic_under_seed(self):
-        pool = CandidatePool(pairs=tuple((i, j) for i in range(5) for j in range(1, 4)))
+        pool = pool_of([(i, j) for i in range(5) for j in range(1, 4)])
         a = select_random(pool, 4, rng_seed=123)
         b = select_random(pool, 4, rng_seed=123)
         assert a.chosen == b.chosen
 
     def test_uniformity(self):
-        pool = CandidatePool(pairs=tuple((0, j) for j in range(1, 11)))
-        counts = {p: 0 for p in pool.pairs}
+        pool = pool_of([(0, j) for j in range(1, 11)])
+        counts = {p: 0 for p in pairs_of(pool)}
         trials = 10_000
         for s in range(trials):
             (pick,), _ = select_random(pool, 1, rng_seed=s).chosen, None
@@ -216,7 +241,7 @@ class TestSelectQbc:
         return [factors for factors, _ in fitted]
 
     def test_identical_committee_falls_to_tie_break(self):
-        pool = CandidatePool(pairs=((0, 1), (0, 2), (1, 1)))
+        pool = pool_of(((0, 1), (0, 2), (1, 1)))
         cfg = ModelConfig(rank=2, lambda1=10.0, lambda2=10.0, lambda3=10.0,
                           max_sweeps=10)
         members = self._members([2, 2], cfg, seed=1)
@@ -271,7 +296,7 @@ class TestSelectQbc:
             assert warm_starts[1:] == [None, None, None]
 
     def test_deterministic(self):
-        pool = CandidatePool(pairs=tuple((i, j) for i in range(4) for j in (1, 2)))
+        pool = pool_of([(i, j) for i in range(4) for j in (1, 2)])
         cfg = ModelConfig(rank=2, max_sweeps=15)
         a = select_qbc(pool, 3, self._members([1, 2], cfg, seed=5), month=2)
         b = select_qbc(pool, 3, self._members([1, 2], cfg, seed=5), month=2)
@@ -279,9 +304,25 @@ class TestSelectQbc:
 
     def test_scores_non_increasing_and_subset_of_pool(self):
         pairs = tuple((i, j) for i in range(6) for j in (1, 2, 3))
-        pool = CandidatePool(pairs=pairs)
+        pool = pool_of(pairs)
         cfg = ModelConfig(rank=2, max_sweeps=15)
         result = select_qbc(pool, 5, self._members([1, 2, 3], cfg, seed=7), month=3)
         assert set(result.chosen) <= set(pairs)
         assert all(a >= b for a, b in zip(result.scores, result.scores[1:]))
         assert all(j != 0 for _, j in result.chosen)
+
+
+def test_selections_hold_python_ints_and_floats():
+    # the pool's numpy indices and scores must not reach a month log
+    pool, factors, stats, prior, cp, kc = TestSelectActsense()._setup()
+    other = LatentFactors(H=factors.H + 1.0, A=factors.A, S=factors.S, rank=2)
+    results = [select_actsense(pool, 2, 1, factors, stats, prior, cp, kc),
+               select_actsense(pool, 2, 1, factors, stats, prior, cp, kc, sequential=True),
+               select_random(pool, 2, rng_seed=0),
+               select_qbc(pool, 2, [factors, other], month=1)]
+    for result in results:
+        assert len(result.chosen) == 2
+        assert all(type(v) is int for pair in result.chosen for v in pair)
+        assert all(type(s) is float for s in result.scores)
+        json.dumps({"pairs": [list(p) for p in result.chosen],
+                    "scores": list(result.scores)})

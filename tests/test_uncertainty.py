@@ -222,7 +222,8 @@ class TestIntegratedUncertainty:
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
         inv = invert_stats(stats)
         for mode in ("full", "current", "current_future"):
-            vec = score_pairs(pairs, 7, factors, inv, prior, cp, kc, mode)
+            vec = score_pairs(np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]), 7,
+                              factors, inv, prior, cp, kc, mode)
             ref = [integrated_uncertainty(x, y, 7, factors, stats, prior, cp,
                                           kc, mode) for x, y in pairs]
             np.testing.assert_allclose(vec, ref, rtol=1e-10)

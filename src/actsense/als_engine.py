@@ -210,12 +210,12 @@ def _solve_family(precision, rhs, lam: float, ranks=None):
     Past the guard, r = 1 and r = 2 are solved in closed form (a division,
     the adjugate over the determinant) and larger r by LAPACK.
 
-    ``ranks`` gives the member ranks of a padded (rows * B, R, R) stack.
-    Padding a member from r to R adds (R-r)*lambda both to its trace and
-    to what the bound subtracts, so its bound is unchanged.  Its exact
-    condition is taken over its own r x r block: the padding's eigenvalue
-    lambda is at most the block's smallest, so the padded matrix's
-    condition can exceed the member's.
+    ``ranks`` gives the member ranks of a padded (rows * B, R, R) stack
+    (by default one member of rank R).  Padding a member from r to R adds
+    (R-r)*lambda both to its trace and to what the bound subtracts, so its
+    bound is unchanged.  Its exact condition is taken over its own r x r
+    block: the padding's eigenvalue lambda is at most the block's
+    smallest, so the padded matrix's condition can exceed the member's.
     """
     r = precision.shape[-1]
     bound = np.inf
@@ -223,12 +223,10 @@ def _solve_family(precision, rhs, lam: float, ranks=None):
         traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
         bound = (traces.max(initial=0.0) - (r - 1) * lam) / lam
     if not (np.isfinite(bound) and bound <= CONDITION_LIMIT):
-        if ranks is None or min(ranks) == r:
-            conds = np.linalg.cond(precision)
-        else:
-            blocks = precision.reshape(-1, len(ranks), r, r)
-            conds = np.concatenate([np.linalg.cond(blocks[:, b, :k, :k])
-                                    for b, k in enumerate(ranks)])
+        ranks = ranks or [r]
+        blocks = precision.reshape(-1, len(ranks), r, r)
+        conds = np.concatenate([np.linalg.cond(blocks[:, b, :k, :k])
+                                for b, k in enumerate(ranks)])
         worst = float(np.max(conds)) if conds.size else 1.0
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericalError(f"precision matrix condition {worst:.3e} exceeds "
@@ -307,19 +305,21 @@ def _member_report(trace, converged: bool, config: ModelConfig) -> FitReport:
                      converged=converged)
 
 
-def _checked_priors(tensor, configs, warm_starts, season_priors) -> list:
-    """The members' season priors as float arrays (None where absent),
-    after checking each prior's shape and each warm start's rank."""
-    priors = []
-    for cfg, warm, prior in zip(configs, warm_starts, season_priors, strict=True):
+def _checked_priors(tensor, configs, warm_starts, season_priors) -> np.ndarray:
+    """The members' season priors as one zero-padded (T, B, R) stack, after
+    checking each prior's shape and each warm start's rank.  A missing
+    prior is a zero prior on the same path: its member's rows stay 0."""
+    stack = np.zeros((tensor.num_months, len(configs), max(c.rank for c in configs)))
+    for b, (cfg, warm, given) in enumerate(zip(configs, warm_starts, season_priors,
+                                               strict=True)):
         if warm is not None and warm.rank != cfg.rank:
             raise ValueError("warm_start rank does not match config.rank")
-        if prior is not None:
-            prior = np.asarray(prior, dtype=float)
-            if prior.shape != (tensor.num_months, cfg.rank):
+        if given is not None:
+            given = np.asarray(given, dtype=float)
+            if given.shape != (tensor.num_months, cfg.rank):
                 raise ValueError("season_prior must be (months, rank)")
-        priors.append(prior)
-    return priors
+            stack[:, b, :cfg.rank] = given
+    return stack
 
 
 def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
@@ -330,19 +330,20 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     and ``tol``, and may differ in rank and seed.  ``warm_starts``
     and ``season_priors`` hold one entry per member (None: a cold start
     from the member's seed, or no prior); None for either list means
-    None for every member.  A member without a prior sweeps with a zero
-    one, which adds lambda * 0 to its season rhs and subtracts 0 in its
-    objective.  Each member's factors, objective trace and report are
-    those of its own :func:`fit` up to summation order, which revivals
-    can amplify (ranks below the largest are solved padded, so by LAPACK
-    rather than in closed form).  The sufficient stats are not built.
+    None for every member.  A missing prior is a zero prior on the same
+    path (lambda * 0 added to the season rhs, 0 subtracted in the
+    objective), bit-identical to ``np.zeros((T, rank))``.  Each member's
+    factors, objective trace and report are those of its own :func:`fit`
+    up to summation order, which revivals can amplify (ranks below the
+    largest are solved padded, so by LAPACK rather than in closed form).
+    The sufficient stats are not built.
     """
     configs = list(configs)
     if warm_starts is None:
         warm_starts = [None] * len(configs)
     if season_priors is None:
         season_priors = [None] * len(configs)
-    priors = _checked_priors(tensor, configs, warm_starts, season_priors)
+    prior = _checked_priors(tensor, configs, warm_starts, season_priors)
     W, XW, cols = masked_readings(tensor, omega)
     base = configs[0]
     for name in ("lambda1", "lambda2", "lambda3", "norm_caps", "max_sweeps", "tol"):
@@ -362,12 +363,9 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
         # a cold member's columns are its fresh init's: reviving them is a no-op
         for mat, fresh_mat in zip((H, A, S), fresh):
             _revive_columns(mat, fresh_mat, active)
-    prior = None
-    if any(p is not None for p in priors):
-        prior = _stack([np.zeros((len(S), c.rank)) if p is None else p
-                        for c, p in zip(configs, priors)], R)
+    prior_rhs = lams[2] * prior   # the season rhs's prior term, (T, B, R)
 
-    M, N, T = len(H), len(A), len(S)
+    N, T = len(A), len(S)
     live = list(range(len(configs)))   # members still sweeping, in stack order
     live_ranks = ranks
     ridges = _ridges(lams, active)
@@ -375,26 +373,26 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     Z = support_rows(A, S, cols)
     traces = [[] for _ in configs]
     results = [None] * len(configs)
+
+    def update(family, precision, rhs):
+        """Family 0, 1 or 2 (home, appliance, season) solved, projected and
+        revived as an (n, B, R) stack; revived members go into ``revived``."""
+        mat = _project_rows(_solve_family(precision, rhs, lams[family], live_ranks),
+                            caps[family]).reshape(-1, len(live), R)
+        if revivals_allowed:
+            revived.update(_revive_columns(mat, fresh[family], active))
+        return mat
+
     for sweep in range(base.max_sweeps):
-        revived = set()   # positions of members with a reseeded column
-        hp, hr = _home_family(W, XW, Z, ridges[0])
-        H = _project_rows(_solve_family(hp, hr, lams[0], live_ranks),
-                          caps[0]).reshape(M, -1, R)
-        if revivals_allowed:
-            revived.update(_revive_columns(H, fresh[0], active))
+        revived = set()
+        H = update(0, *_home_family(W, XW, Z, ridges[0]))
         V, U = _home_contractions(W, XW, cols, H, buffers)
-        ap, ar = _app_family(V, U, S, ridges[1])
-        A = _project_rows(_solve_family(ap, ar, lams[1], live_ranks),
-                          caps[1]).reshape(N, -1, R)
-        if revivals_allowed:
-            revived.update(_revive_columns(A, fresh[1], active))
+        A = update(1, *_app_family(V, U, S, ridges[1]))
         sp, sr = _season_family(V, U, A, ridges[2])
-        if prior is not None:
-            sr = sr + lams[2] * prior.reshape(sr.shape)
-        S = _project_rows(_solve_family(sp, sr, lams[2], live_ranks),
-                          caps[2]).reshape(T, -1, R)
-        if revivals_allowed:
-            revived.update(_revive_columns(S, fresh[2], active))
+        # in place: a new array would change sr's layout, and with it the
+        # summation order of the solve and projection that follow
+        sr += prior_rhs.reshape(sr.shape)
+        S = update(2, sp, sr)
 
         # the objective's rows of khatri_rao(A, S) are the next sweep's
         Z = support_rows(A, S, cols)
@@ -419,10 +417,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
             live = [live[pos] for pos in keep]
             live_ranks = [ranks[b] for b in live]
             R = max(live_ranks)
-            H, A, S, Z = (m[:, keep, :R] for m in (H, A, S, Z))
-            fresh = [m[:, keep, :R] for m in fresh]
-            if prior is not None:
-                prior = prior[:, keep, :R]
+            H, A, S, Z, prior, prior_rhs, *fresh = (
+                m[:, keep, :R] for m in (H, A, S, Z, prior, prior_rhs, *fresh))
             active = active[keep, :R]
             ridges = _ridges(lams, active)
             buffers = _contraction_buffers(len(live), R, N, T)

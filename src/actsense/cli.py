@@ -287,12 +287,12 @@ def _simulate_fold(payload):
 
 def cmd_simulate(args) -> int:
     cfg = CliConfig.resolve(args)
-    tensor, manifest = _load_data(args, cfg)
-    splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
-                         val_fraction=cfg.val_fraction, seed=cfg.seed)
     fold_ids = [args.fold] if args.fold is not None else list(range(cfg.folds))
     if any(f < 0 or f >= cfg.folds for f in fold_ids):
         raise UsageError(f"--fold must be in [0, {cfg.folds})")
+    tensor, manifest = _load_data(args, cfg)
+    splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
+                         val_fraction=cfg.val_fraction, seed=cfg.seed)
     season_prior = None
     if args.season_prior:
         season_prior = np.loadtxt(args.season_prior, delimiter=",", ndmin=2)
@@ -443,6 +443,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = CliConfig.resolve(args)
+    if cfg.val_fraction == 0:  # above 0, kfold_split gives every fold a validation home
+        raise UsageError("gridsearch scores grid points on validation homes; "
+                         "set val_fraction > 0")
     try:
         grid = GridSpec(ranks=args.ranks, lambdas=args.lambdas, sigmas=args.sigmas,
                         L_values=args.L_list)
@@ -451,9 +454,6 @@ def cmd_gridsearch(args) -> int:
     tensor, _ = _load_data(args, cfg)
     splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
                          val_fraction=cfg.val_fraction, seed=cfg.seed)
-    if not all(split.validation_homes for split in splits):
-        raise UsageError("gridsearch scores grid points on validation homes; "
-                         "set val_fraction > 0")
     run_kwargs = cfg.run_kwargs()
     del run_kwargs["L"]  # each grid point sets its own budget
     best, rows = evaluation.grid_search(

@@ -117,7 +117,7 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
 
     Within each fold the remaining homes are shuffled once (seeded) and
     the last ``val_fraction`` of them, which must lie in [0, 1), become
-    the validation group.
+    the validation group: at least one home when ``val_fraction`` > 0.
     """
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")

@@ -6,8 +6,8 @@ factors warm-started from last month, evaluate RMSE on the held-out
 homes, let the strategy pick L new pairs from the candidate pool, and
 record the installation month.  A query-by-committee month that selects
 fits the month's model and the cold committee members in one stacked
-call (the model is member 0).  Readings from freshly selected pairs
-only start arriving the following month.
+call (the model is member 0) and leaves ``stats`` None.  Readings from
+freshly selected pairs only start arriving the following month.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
             tensor, omega, [fit_config, *committee],
             warm_starts=[state.factors] + [None] * len(committee),
             season_priors=[season_prior] + [None] * len(committee))
-        factors, members = fitted[0][0], [f for f, _ in fitted[1:]]
-        stats = als_engine.accumulate_stats(tensor, omega, factors, fit_config)
+        # select_qbc reads no precisions, so none are built
+        factors, members, stats = fitted[0][0], [f for f, _ in fitted[1:]], None
     else:
         factors, stats, _ = als_engine.fit(
             tensor, omega, fit_config, season_prior=season_prior,

@@ -78,8 +78,9 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
 
     The default scores the whole batch against one fitted model.
     ``sequential=True`` picks one pair at a time and, before re-scoring
-    the rest, adds the pick's current-month reading to its home and
-    appliance precisions (a Sherman-Morrison update of the inverses).
+    the open pairs that share its home or appliance (no other score moves),
+    adds the pick's current-month reading to its home and appliance
+    precisions (a Sherman-Morrison update of the inverses).
     """
     if L <= 0 or len(pool) == 0:
         return SelectionResult(chosen=(), scores=())
@@ -90,17 +91,18 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
         return _top_by_score(pool.homes, pool.apps, scores, L)
 
     live = InvertedStats(home=inv.home.copy(), app=inv.app.copy())
-    keep = np.ones(len(pool), dtype=bool)
+    open_ = np.ones(len(pool), dtype=bool)
+    scores, stale = np.empty(len(pool)), open_.copy()   # stale: open pairs to (re)score
     chosen, chosen_scores = [], []
     for _ in range(min(L, len(pool))):
-        homes, apps = pool.homes[keep], pool.apps[keep]
-        scores = uncertainty.score_pairs(homes, apps, t, factors, live,
-                                         season_prior, cp, kc, mode)
-        pick = _top_by_score(homes, apps, scores, 1)
+        scores[stale] = uncertainty.score_pairs(pool.homes[stale], pool.apps[stale], t,
+                                                factors, live, season_prior, cp, kc, mode)
+        pick = _top_by_score(pool.homes[open_], pool.apps[open_], scores[open_], 1)
         (x, y), = pick.chosen
         chosen.append((x, y))
         chosen_scores.append(pick.scores[0])
-        keep &= (pool.homes != x) | (pool.apps != y)
+        open_ &= (pool.homes != x) | (pool.apps != y)
+        stale = open_ & ((pool.homes == x) | (pool.apps == y))
         s_now = factors.S[t]
         live.home[x] = uncertainty.sherman_morrison_update(live.home[x], factors.A[y] * s_now)
         live.app[y] = uncertainty.sherman_morrison_update(live.app[y], factors.H[x] * s_now)

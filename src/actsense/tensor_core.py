@@ -207,18 +207,17 @@ def masked_objective(tensor: EnergyTensor, omega: ObservationSet,
                      season_prior: np.ndarray | None = None) -> float:
     """Squared-error loss over observed cells plus squared-norm ridge terms.
 
-    The season regularizer penalizes distance from ``season_prior`` when
-    given (rows aligned with the season factor matrix), plain norms
-    otherwise.
+    The season regularizer penalizes distance from ``season_prior`` (rows
+    aligned with the season factor matrix).  A missing prior is a zero
+    prior on the same path, which gives plain norms.
     """
-    if season_prior is not None:
-        season_prior = np.asarray(season_prior, dtype=float)
-        if season_prior.shape != factors.S.shape:
-            raise ValueError("season_prior shape must match the season factor matrix")
+    prior = np.zeros_like(factors.S) if season_prior is None else \
+        np.asarray(season_prior, dtype=float)
+    if prior.shape != factors.S.shape:
+        raise ValueError("season_prior shape must match the season factor matrix")
     W, XW, cols = masked_readings(tensor, omega)
-    H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
-    prior = None if season_prior is None else season_prior[:, None, :]
-    return float(masked_losses(W, XW, support_rows(A, S, cols), H, A, S, config, prior)[0])
+    H, A, S, P = (m[:, None, :] for m in (factors.H, factors.A, factors.S, prior))
+    return float(masked_losses(W, XW, support_rows(A, S, cols), H, A, S, config, P)[0])
 
 
 def masked_readings(tensor: EnergyTensor, omega: ObservationSet):
@@ -247,17 +246,19 @@ def support_rows(A, S, cols) -> np.ndarray:
 
 
 def masked_losses(W, XW, Z, H, A, S, config: ModelConfig,
-                  season_prior: np.ndarray | None = None) -> np.ndarray:
+                  season_prior: np.ndarray) -> np.ndarray:
     """The objective of :func:`masked_objective` for each member of the
     (n, B, r) factor stacks ``H, A, S``, shape (B,), from the observed
     columns ``W, XW`` of :func:`masked_readings` and
     ``Z = support_rows(A, S, cols)``.  The members share the lambdas of
-    ``config``; zero padding columns add nothing."""
+    ``config``; zero padding columns add nothing.  A missing prior is a
+    zero prior on the same path: zeros in that member's ``season_prior``."""
     resid = np.matmul(H.transpose(1, 0, 2), Z.transpose(1, 2, 0))  # (B, M, C)
     resid *= W
     resid -= XW
     resid = resid.reshape(len(resid), -1)
-    s_term = S if season_prior is None else S - season_prior
+    # in S's own layout: a C-ordered result would change the einsum's summation order
+    s_term = np.subtract(S, season_prior, out=np.empty_like(S))
     return (np.einsum("bi,bi->b", resid, resid)
             + config.lambda1 * np.einsum("nbr,nbr->b", H, H)
             + config.lambda2 * np.einsum("nbr,nbr->b", A, A)

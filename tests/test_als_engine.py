@@ -570,6 +570,31 @@ class TestFitCommittee:
         for cfg, member in zip(configs, members[1:]):
             _assert_matches_solo(member, fit(tensor, omega, cfg))
 
+    def test_zero_prior_is_no_prior_bit_for_bit(self):
+        # a missing prior is a zero prior on the same numeric path
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        T = tensor.num_months
+        for cfg in configs:
+            zero = np.zeros((T, cfg.rank))
+            with_zero, _, zero_report = fit(tensor, omega, cfg, season_prior=zero)
+            without, _, report = fit(tensor, omega, cfg)
+            for name in "HAS":
+                assert np.array_equal(getattr(with_zero, name), getattr(without, name))
+            assert np.array_equal(zero_report.objective_trace, report.objective_trace)
+            for f in (with_zero, without):
+                assert (masked_objective(tensor, omega, f, cfg, season_prior=zero)
+                        == masked_objective(tensor, omega, f, cfg))
+        # one member given zeros, beside members given none
+        wanted = fit_committee(tensor, omega, configs)
+        for b, (want, want_report) in enumerate(wanted):
+            priors = [None] * len(configs)
+            priors[b] = np.zeros((T, configs[b].rank))
+            got, got_report = fit_committee(tensor, omega, configs, season_priors=priors)[b]
+            for name in "HAS":
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got_report.objective_trace, want_report.objective_trace)
+
     def test_batched_objective_matches_masked_objective(self):
         tensor, omega = _committee_instance()
         configs = _committee_configs()

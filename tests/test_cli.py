@@ -509,6 +509,21 @@ def test_val_fraction_outside_unit_interval_is_usage_error(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.conf"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--folds", "3", "--fold", "3"], "--fold must be in [0, 3)"),
+    (["simulate", "--fold", "-1"], "--fold must be in [0, 5)"),
+    (["gridsearch", "--config", "c.conf", "--ranks", "2", "--lambdas", "100",
+      "--sigmas", "2"], "set val_fraction > 0"),
+], ids=["simulate-fold-past-folds", "simulate-negative-fold", "gridsearch-no-validation"])
+def test_usage_errors_come_before_the_data(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.conf").write_text("val_fraction=0\n", encoding="utf-8")
+    # reading the missing data would exit 2
+    assert main([*argv, "--data", "missing.csv", "-o", "out"]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.conf"]
+
+
 def test_committee_unchecked_when_qbc_does_not_run(dataset, tmp_path):
     rc = main(["simulate", "--data", str(dataset), "--strategy", "random",
                "--committee", "2", "--L", "1", "--T", "2", "--folds", "2",

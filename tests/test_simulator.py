@@ -7,7 +7,7 @@ import pytest
 from actsense import (ConfidenceParams, FoldSplit, KernelConfig, ModelConfig,
                       SyntheticConfig, factor_error_alphas, generate_synthetic,
                       kfold_split, resolve_caps, run, run_with_state, write_report)
-from actsense import strategies
+from actsense import als_engine, strategies
 from actsense.simulator import SimState, reveal, step_month
 
 
@@ -123,6 +123,21 @@ class TestStepMonth:
         want = factor_error_alphas(len(state.omega), cp, mc, resolve_caps(tensor, mc))
         assert (got.alpha_home, got.alpha_app) == want
         assert want != (cp.alpha_home, cp.alpha_app)
+
+    def test_qbc_selection_month_builds_no_precisions(self, small_world, monkeypatch):
+        tensor, split, mc = small_world
+        cp, kc = _cp_kc()
+
+        def no_stats(*args, **kwargs):
+            raise AssertionError("a QBC month built precisions")
+
+        monkeypatch.setattr(als_engine, "accumulate_stats", no_stats)
+        state = SimState.initial(tensor.readings.shape, seed=3)
+        for _ in range(2):
+            state, log = step_month(state, tensor, "qbc", 2, mc, cp, kc, split,
+                                    committee_ranks=(1, 2))
+            assert len(log["pairs"]) == 2
+            assert state.stats is None
 
 
 class TestRun:

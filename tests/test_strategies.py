@@ -192,6 +192,40 @@ class TestSelectActsense:
                 home[x] += np.outer(v_home, v_home)
                 app[y] += np.outer(v_app, v_app)
 
+    def test_sequential_rescores_only_pairs_sharing_the_pick(self, monkeypatch):
+        factors, stats, pairs, prior = self._random_instance(7)
+        cp, kc = ConfidenceParams(), KernelConfig(sigma_window=3, horizon=8)
+        calls = []
+
+        def recording_score(homes, apps, *args, **kwargs):
+            calls.append(list(zip(homes.tolist(), apps.tolist())))
+            return score_pairs(homes, apps, *args, **kwargs)
+
+        monkeypatch.setattr(strategies.uncertainty, "score_pairs", recording_score)
+        result = select_actsense(pool_of(pairs), 4, 2, factors, stats, prior, cp, kc,
+                                 sequential=True)
+        assert len(calls) == 4 and calls[0] == list(pairs)
+        open_ = list(pairs)
+        for (x, y), call in zip(result.chosen, calls[1:]):
+            open_.remove((x, y))
+            assert call == [(i, j) for i, j in open_ if i == x or j == y]
+        monkeypatch.undo()
+        # the same picks and score bits as re-scoring every open pair
+        inv = strategies.uncertainty.invert_stats(stats)
+        live = InvertedStats(home=inv.home.copy(), app=inv.app.copy())
+        open_ = list(pairs)
+        for pick, score in zip(result.chosen, result.scores):
+            homes, apps = (np.array(ix) for ix in zip(*open_))
+            full = score_pairs(homes, apps, 2, factors, live, prior, cp, kc)
+            best = strategies._top_by_score(homes, apps, full, 1)
+            assert best.chosen == (pick,) and best.scores == (score,)
+            x, y = open_.pop(open_.index(pick))
+            s_now = factors.S[2]
+            live.home[x] = strategies.uncertainty.sherman_morrison_update(
+                live.home[x], factors.A[y] * s_now)
+            live.app[y] = strategies.uncertainty.sherman_morrison_update(
+                live.app[y], factors.H[x] * s_now)
+
     def test_sequential_mode_returns_distinct_pairs(self):
         pool, factors, stats, prior, cp, kc = self._setup()
         result = select_actsense(pool, 3, 1, factors, stats, prior, cp, kc,

@@ -38,13 +38,13 @@ reads its own columns.  Each member has its own warm start (or a cold
 start from its seed) and its own season prior (a zero prior where it has
 none, which adds exact zeros).  The objective is one pass over the stack,
 a (B, M, C) residual reduced per member, and each member keeps its own
-convergence test against the shared tol: a member that converges leaves
-the stack with what its own fit would give, and the rest sweep on until
-they converge or all stop together at the shared max_sweeps.  fit is
+convergence test against the shared tol.  The stack keeps one shape for
+the whole fit: a member that converges (or reaches the shared
+max_sweeps) takes its result at that sweep, what its own fit would give,
+and its rows sweep on, unrecorded, until every member has one.  fit is
 the one-member case (every reshape a view, the same products as a lone
-fit).  A query-by-committee month is one fit_committee call: the
-month's warm-started model is member 0, the cold committee members
-follow.
+fit).  A query-by-committee month is one fit_committee call: the month's
+warm-started model is member 0, the cold committee members follow.
 
 Past the condition guard, rank 1 and rank 2 families are solved in
 closed form (a division; the adjugate over the determinant), which on a
@@ -336,6 +336,9 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     factors, objective trace and report are those of its own :func:`fit`
     up to summation order, which revivals can amplify (ranks below the
     largest are solved padded, so by LAPACK rather than in closed form).
+    A member that has its result keeps sweeping on the stack until the
+    last one does, so its later sweeps still pass the condition guard;
+    with lambda > 0 its trace bound stays far below CONDITION_LIMIT.
     The sufficient stats are not built.
     """
     configs = list(configs)
@@ -365,11 +368,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
             _revive_columns(mat, fresh_mat, active)
     prior_rhs = lams[2] * prior   # the season rhs's prior term, (T, B, R)
 
-    N, T = len(A), len(S)
-    live = list(range(len(configs)))   # members still sweeping, in stack order
-    live_ranks = ranks
     ridges = _ridges(lams, active)
-    buffers = _contraction_buffers(len(live), R, N, T)
+    buffers = _contraction_buffers(len(configs), R, len(A), len(S))
     Z = support_rows(A, S, cols)
     traces = [[] for _ in configs]
     results = [None] * len(configs)
@@ -377,8 +377,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     def update(family, precision, rhs):
         """Family 0, 1 or 2 (home, appliance, season) solved, projected and
         revived as an (n, B, R) stack; revived members go into ``revived``."""
-        mat = _project_rows(_solve_family(precision, rhs, lams[family], live_ranks),
-                            caps[family]).reshape(-1, len(live), R)
+        mat = _project_rows(_solve_family(precision, rhs, lams[family], ranks),
+                            caps[family]).reshape(-1, len(configs), R)
         if revivals_allowed:
             revived.update(_revive_columns(mat, fresh[family], active))
         return mat
@@ -397,31 +397,17 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
         # the objective's rows of khatri_rao(A, S) are the next sweep's
         Z = support_rows(A, S, cols)
         losses = masked_losses(W, XW, Z, H, A, S, base, prior)
-        keep = []
-        for pos, b in enumerate(live):
-            r, trace = ranks[b], traces[b]
-            trace.append(float(losses[pos]))
-            converged = (sweep >= 1 and pos not in revived
+        for b, (r, trace) in enumerate(zip(ranks, traces)):
+            if results[b] is not None:
+                continue
+            trace.append(float(losses[b]))
+            converged = (sweep >= 1 and b not in revived
                          and abs(trace[-2] - trace[-1]) <= base.tol * max(abs(trace[-2]), 1e-12))
             if converged or sweep == base.max_sweeps - 1:
-                factors = LatentFactors(H=H[:, pos, :r], A=A[:, pos, :r],
-                                        S=S[:, pos, :r], rank=r)
+                factors = LatentFactors(H=H[:, b, :r], A=A[:, b, :r], S=S[:, b, :r], rank=r)
                 results[b] = (factors, _member_report(trace, converged, configs[b]))
-            else:
-                keep.append(pos)
-        if not keep:
+        if all(results):
             break
-        if len(keep) < len(live):
-            # freeze the finished members: sweep only the others from here
-            # on, padded to the largest rank left
-            live = [live[pos] for pos in keep]
-            live_ranks = [ranks[b] for b in live]
-            R = max(live_ranks)
-            H, A, S, Z, prior, prior_rhs, *fresh = (
-                m[:, keep, :R] for m in (H, A, S, Z, prior, prior_rhs, *fresh))
-            active = active[keep, :R]
-            ridges = _ridges(lams, active)
-            buffers = _contraction_buffers(len(live), R, N, T)
     return results
 
 

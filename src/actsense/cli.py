@@ -194,12 +194,16 @@ class CliConfig:
             merged[key] = alpha if merged[key] is None else merged[key]
         resolved = cls(**merged)
         if (resolved.L < 0 or resolved.T < 1 or resolved.folds < 2
-                or not 0.0 <= resolved.val_fraction < 1.0):
-            raise UsageError("need L >= 0, T >= 1, folds >= 2 and 0 <= val_fraction < 1")
+                or not 0.0 <= resolved.val_fraction < 1.0
+                or not 0.0 <= resolved.min_coverage <= 1.0):
+            raise UsageError("need L >= 0, T >= 1, folds >= 2, 0 <= val_fraction < 1 "
+                             "and 0 <= min_coverage <= 1")
         try:
-            model = resolved.model_config()
+            run = resolved.run_kwargs()   # builds the model config and alphas
+            KernelConfig(**run["kernel_config_kwargs"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        model = run["model_config"]
         if "qbc" in (strategies or (resolved.strategy,)):
             try:
                 committee_configs(model, resolved.committee, resolved.seed)

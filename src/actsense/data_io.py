@@ -97,6 +97,8 @@ def load_csv(path, min_coverage: float = 0.8):
     Appliances observed in fewer than ``min_coverage`` of home-months
     are dropped before the aggregate is reconstructed.
     """
+    if not 0.0 <= min_coverage <= 1.0:
+        raise ValueError(f"min_coverage must lie in [0, 1], got {min_coverage}")
     cells = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -97,11 +97,12 @@ def select_actsense(pool: CandidatePool, L: int, t: int, factors: LatentFactors,
     for _ in range(min(L, len(pool))):
         scores[stale] = uncertainty.score_pairs(pool.homes[stale], pool.apps[stale], t,
                                                 factors, live, season_prior, cp, kc, mode)
-        pick = _top_by_score(pool.homes[open_], pool.apps[open_], scores[open_], 1)
-        (x, y), = pick.chosen
+        tied = np.flatnonzero(open_ & (scores == scores[open_].max()))
+        k = tied[np.lexsort((pool.apps[tied], pool.homes[tied]))[0]]  # pool may be unsorted
+        x, y = pool.homes[k], pool.apps[k]
         chosen.append((x, y))
-        chosen_scores.append(pick.scores[0])
-        open_ &= (pool.homes != x) | (pool.apps != y)
+        chosen_scores.append(scores[k])
+        open_[k] = False   # the pool holds no repeated pair
         stale = open_ & ((pool.homes == x) | (pool.apps == y))
         s_now = factors.S[t]
         live.home[x] = uncertainty.sherman_morrison_update(live.home[x], factors.A[y] * s_now)

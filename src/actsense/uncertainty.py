@@ -44,6 +44,8 @@ class ConfidenceParams:
     def __post_init__(self):
         if self.alpha_mode not in ("fixed", "bound"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
+        if not all(0.0 <= a < np.inf for a in (self.alpha_home, self.alpha_app)):
+            raise ValueError("alpha_home and alpha_app must be finite and >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if len(self.q_rates) != 3 or len(self.epsilons) != 3:

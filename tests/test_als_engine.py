@@ -618,10 +618,28 @@ class TestFitCommittee:
         solo = [fit(tensor, omega, cfg)[2] for cfg in configs]
         sweeps = [report.sweeps_run for _, report in members]
         assert sweeps == [report.sweeps_run for report in solo]
-        # each member stops at its own sweep, the last ones on a stack
-        # narrowed to the ranks left
+        # each member stops at its own sweep, while its rows ride on the
+        # stack until the last one stops
         assert len(set(sweeps)) == 4
         assert all(report.converged for _, report in members)
+
+    def test_stack_keeps_every_rank_until_the_last_member_stops(self, monkeypatch):
+        tensor, omega = _committee_instance()
+        configs = _committee_configs()
+        seen = []
+        real_solve = als_engine._solve_family
+
+        def spy(precision, rhs, lam, ranks=None):
+            seen.append((list(ranks), precision.shape))
+            return real_solve(precision, rhs, lam, ranks)
+
+        monkeypatch.setattr(als_engine, "_solve_family", spy)
+        members = fit_committee(tensor, omega, configs)
+        monkeypatch.undo()
+        sweeps = [report.sweeps_run for _, report in members]
+        assert len(set(sweeps)) == 4
+        assert len(seen) == 3 * max(sweeps)
+        assert all(ranks == [1, 2, 3, 4] and shape[1:] == (4, 4) for ranks, shape in seen)
 
     def test_one_info_line_per_capped_member(self, caplog):
         tensor, omega = _committee_instance()

@@ -21,6 +21,12 @@ def dataset(tmp_path):
     return path
 
 
+def _rows(path):
+    """The rows of the CSV at ``path`` as dicts, with the file closed."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _sim_args(data, outdir, strategy="random", extra=()):
     return ["simulate", "--data", str(data), "--strategy", strategy,
             "--L", "1", "--T", "3", "--folds", "2", "--seed", "1",
@@ -217,7 +223,7 @@ class TestCompare:
         rc = main(["compare", str(out_r), "--baseline", "random",
                    "-o", str(table)])
         assert rc == 0
-        rows = list(csv.DictReader(table.open()))
+        rows = _rows(table)
         assert all(float(r["improvement_pct"]) == 0.0 for r in rows)
 
     def test_two_strategies_table_and_summary(self, dataset, tmp_path):
@@ -227,7 +233,7 @@ class TestCompare:
         rc = main(["compare", str(out_r), str(out_a), "--baseline", "random",
                    "-o", str(table), "--summary-out", str(summary)])
         assert rc == 0
-        rows = list(csv.DictReader(summary.open()))
+        rows = _rows(summary)
         assert sorted(r["strategy"] for r in rows) == ["actsense", "random"]
 
     def test_mixed_seeds_rejected(self, dataset, tmp_path):
@@ -260,7 +266,7 @@ class TestCompare:
         rc = main(["compare", *map(str, outs), str(out_r),
                    "--summary-out", str(summary)])
         assert rc == 0
-        rows = list(csv.DictReader(summary.open()))
+        rows = _rows(summary)
         assert sorted(r["strategy"] for r in rows) == [
             "actsense", "actsense-current", "random"]
 
@@ -272,7 +278,7 @@ class TestSweep:
                    "--L", "1,2", "--T", "2", "--folds", "2", "--seeds", "1,2",
                    "--lambda", "100", "--max-sweeps", "30", "-o", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _rows(out)
         assert len(rows) == 2 * 2 * 2  # L x folds x seeds
         assert {r["L"] for r in rows} == {"1", "2"}
 
@@ -282,7 +288,7 @@ class TestSweep:
                    "--L", "1..3", "--T", "1", "--folds", "2", "--lambda", "100",
                    "-o", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _rows(out)
         assert {r["L"] for r in rows} == {"1", "2", "3"}
 
     @pytest.mark.parametrize("config, flags, want", [
@@ -298,7 +304,7 @@ class TestSweep:
                    "--L", "1", "--T", "2", "--folds", "2", "--lambda", "100",
                    "--max-sweeps", "5", "-o", str(out)])
         assert rc == 0
-        assert {row["strategy"] for row in csv.DictReader(out.open())} == want
+        assert {row["strategy"] for row in _rows(out)} == want
 
     def test_parallel_jobs_match_sequential(self, dataset, tmp_path):
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
@@ -320,7 +326,7 @@ class TestGridsearch:
                    "--max-sweeps", "30",
                    "-o", str(table), "--best-out", str(best)])
         assert rc == 0
-        rows = list(csv.DictReader(table.open()))
+        rows = _rows(table)
         assert len(rows) == 2  # one per fold
         text = best.read_text()
         assert "rank=2" in text and "lambda=100.0" in text
@@ -337,7 +343,7 @@ class TestGridsearch:
                    "--L", "1", "--T", "2", "--folds", "2", "--seed", "1",
                    "--max-sweeps", "30", "-o", str(table)])
         assert rc == 0
-        rows = list(csv.DictReader(table.open()))
+        rows = _rows(table)
         assert len(rows) == 4  # 2 points x 2 folds
         assert list(rows[0]) == ["strategy", "rank", "lambda", "sigma", "L",
                                  "fold", "year_rmse_val", "year_rmse_test", "error"]
@@ -356,7 +362,7 @@ class TestGridsearch:
                    "-o", str(table)])
         assert rc == 2
         assert "see the table for errors" in capsys.readouterr().err
-        rows = list(csv.DictReader(table.open()))
+        rows = _rows(table)
         assert len(rows) == 4
         assert all(row["error"] == "precision matrix condition 1e+13 exceeds 1e+12"
                    for row in rows)
@@ -514,7 +520,15 @@ def test_val_fraction_outside_unit_interval_is_usage_error(tmp_path, monkeypatch
     (["simulate", "--fold", "-1"], "--fold must be in [0, 5)"),
     (["gridsearch", "--config", "c.conf", "--ranks", "2", "--lambdas", "100",
       "--sigmas", "2"], "set val_fraction > 0"),
-], ids=["simulate-fold-past-folds", "simulate-negative-fold", "gridsearch-no-validation"])
+    (["simulate", "--sigma", "0"], "sigma_window must be >= 1"),
+    (["simulate", "--horizon", "0"], "horizon must be >= 1"),
+    (["simulate", "--min-coverage", "1.5"], "0 <= min_coverage <= 1"),
+    (["simulate", "--min-coverage", "nan"], "0 <= min_coverage <= 1"),
+    (["simulate", "--min-coverage", "-1"], "0 <= min_coverage <= 1"),
+    (["simulate", "--alpha", "-1"], "alpha_home and alpha_app must be finite and >= 0"),
+], ids=["simulate-fold-past-folds", "simulate-negative-fold", "gridsearch-no-validation",
+        "simulate-zero-sigma", "simulate-zero-horizon", "simulate-coverage-past-one",
+        "simulate-nan-coverage", "simulate-negative-coverage", "simulate-negative-alpha"])
 def test_usage_errors_come_before_the_data(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.conf").write_text("val_fraction=0\n", encoding="utf-8")

@@ -88,6 +88,13 @@ class TestLoadCsv:
                              min_coverage=0.8)
         assert tensor.appliance_names == ("aggregate", "fridge")
 
+    @pytest.mark.parametrize("coverage", [1.5, -0.1, float("nan")])
+    def test_coverage_outside_unit_interval_rejected_before_reading(self, tmp_path,
+                                                                   coverage):
+        # the file does not exist: opening it would raise OSError instead
+        with pytest.raises(ValueError, match=r"min_coverage must lie in \[0, 1\]"):
+            load_csv(tmp_path / "missing.csv", min_coverage=coverage)
+
     def test_crlf_accepted(self, tmp_path):
         text = HEADER.replace("\n", "\r\n") + "h1,fridge,2015-01,3\r\n"
         tensor, _ = load_csv(_write(tmp_path, text))

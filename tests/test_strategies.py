@@ -211,20 +211,48 @@ class TestSelectActsense:
             assert call == [(i, j) for i, j in open_ if i == x or j == y]
         monkeypatch.undo()
         # the same picks and score bits as re-scoring every open pair
+        self._assert_matches_full_rescoring(result, pairs, 2, factors, stats, prior, cp, kc)
+
+    @staticmethod
+    def _assert_matches_full_rescoring(result, pairs, t, factors, stats, prior, cp, kc):
+        """Each sequential pick against _top_by_score(..., 1) over every
+        open pair, re-scored from the Sherman-Morrison-updated inverses;
+        returns how many open pairs tied for the maximum at each step."""
         inv = strategies.uncertainty.invert_stats(stats)
         live = InvertedStats(home=inv.home.copy(), app=inv.app.copy())
         open_ = list(pairs)
+        ties = []
         for pick, score in zip(result.chosen, result.scores):
             homes, apps = (np.array(ix) for ix in zip(*open_))
-            full = score_pairs(homes, apps, 2, factors, live, prior, cp, kc)
+            full = score_pairs(homes, apps, t, factors, live, prior, cp, kc)
+            ties.append(int((full == full.max()).sum()))
             best = strategies._top_by_score(homes, apps, full, 1)
             assert best.chosen == (pick,) and best.scores == (score,)
             x, y = open_.pop(open_.index(pick))
-            s_now = factors.S[2]
+            s_now = factors.S[t]
             live.home[x] = strategies.uncertainty.sherman_morrison_update(
                 live.home[x], factors.A[y] * s_now)
             live.app[y] = strategies.uncertainty.sherman_morrison_update(
                 live.app[y], factors.H[x] * s_now)
+        return ties
+
+    def test_sequential_ties_break_by_index_on_an_unsorted_pool(self):
+        # identical home rows and identical appliance rows: every pair
+        # starts tied, and pairs away from the picks stay tied
+        M, N, T = 4, 4, 5
+        factors = LatentFactors(H=np.ones((M, 2)), A=np.ones((N, 2)),
+                                S=np.random.default_rng(3).random((T, 2)) + 0.1, rank=2)
+        stats, prior = identity_stats(M, N), np.ones((T, 2))
+        cp, kc = ConfidenceParams(), KernelConfig(sigma_window=2, horizon=T)
+        pairs = [(i, j) for i in range(M) for j in range(1, N)]
+        pairs = [pairs[k] for k in np.random.default_rng(4).permutation(len(pairs))]
+        assert pairs != sorted(pairs)
+        result = select_actsense(pool_of(pairs), 6, 2, factors, stats, prior, cp, kc,
+                                 sequential=True)
+        assert len(result.chosen) == 6 and result.chosen[0] == (0, 1)
+        ties = self._assert_matches_full_rescoring(result, pairs, 2, factors, stats,
+                                                   prior, cp, kc)
+        assert ties[0] == len(pairs) and all(n > 1 for n in ties)
 
     def test_sequential_mode_returns_distinct_pairs(self):
         pool, factors, stats, prior, cp, kc = self._setup()

@@ -82,6 +82,14 @@ class TestFactorErrorAlphas:
             factor_error_alphas(5, cp, ModelConfig(rank=1), (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("alphas", [dict(alpha_home=-1.0), dict(alpha_app=float("nan")),
+                                    dict(alpha_home=float("inf"))],
+                         ids=["negative", "nan", "inf"])
+def test_alpha_must_be_finite_and_nonnegative(alphas):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        ConfidenceParams(**alphas)
+
+
 class TestTriangleWeight:
     def test_zero_lag(self):
         assert triangle_weight(4, 4, KernelConfig(sigma_window=3)) == 1.0

@@ -30,21 +30,23 @@ exact zeros, so only the summation order changes.
 The sweep runs on a member axis: factors are (n, B, R) stacks of B fits
 that share the observations, zero-padded to the largest rank R.  The
 products with W_(1) and XW_(1) above take every member's columns at
-once, and each family is one solve, projection and revival over the
-(n*B, R, R) stack.  The padding's ridge diagonal is lambda (1 where
-lambda is 0) and its rhs is zero, so padded columns solve to exact
-zeros; revival never reseeds them, and each member's dead-column test
-reads its own columns.  Each member has its own warm start (or a cold
-start from its seed) and its own season prior (a zero prior where it has
-none, which adds exact zeros).  The objective is one pass over the stack,
-a (B, M, C) residual reduced per member, and each member keeps its own
-convergence test against the shared tol.  The stack keeps one shape for
-the whole fit: a member that converges (or reaches the shared
-max_sweeps) takes its result at that sweep, what its own fit would give,
-and its rows sweep on, unrecorded, until every member has one.  fit is
-the one-member case (every reshape a view, the same products as a lone
-fit).  A query-by-committee month is one fit_committee call: the month's
-warm-started model is member 0, the cold committee members follow.
+once, and each family is one solve and projection over the (n*B, R, R)
+stack.  The padding's ridge diagonal is lambda (1 where lambda is 0) and
+its rhs is zero, so padded columns solve to exact zeros; revival never
+reseeds them, and each member's dead-column test reads its own columns.
+Each member has its own warm start (or a cold start from its seed) and
+its own season prior (a zero prior where it has none, which adds exact
+zeros).  The objective is one pass over the stack, a (B, M, C) residual
+reduced per member, and each member keeps its own convergence test
+against the shared tol.  The stack keeps one shape for the whole fit: a
+member that converges (or reaches the shared max_sweeps) takes its
+result at that sweep, what its own fit would give, and its rows sweep
+on, unrecorded, until every member has one.  fit is the one-member case
+(every reshape a view, the same products as a lone fit).  A
+query-by-committee month is one fit_committee call: the month's
+warm-started model is member 0, the cold committee members follow.  Dead
+columns are reseeded at a fit's start, and after a family update only
+where the guard's trace bound cannot vouch for it (_revive_columns).
 
 Past the condition guard, rank 1 and rank 2 families are solved in
 closed form (a division; the adjugate over the determinant), which on a
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,51 +142,37 @@ def _ridges(lams, active):
     return (diag[..., None] * np.eye(active.shape[1])).reshape(3, -1)
 
 
-def _with_ridge(flat, ridge, R):
-    """(n, B*R*R) accumulated outer products -> (n*B, R, R) precisions
-    ridge + G, one per (row, member)."""
-    return (flat + ridge).reshape(-1, R, R)
+def _precision(contract, X, F, ridge):
+    """ridge + contract(X, rows(f f^T)) as (n*B, R, R) precisions, one per
+    (row, member), for a (rows, B, R) stack F of the other factors' rows."""
+    R = F.shape[2]
+    return (contract(X, _outer_rows(F)) + ridge).reshape(-1, R, R)
 
 
-def _home_family(W, XW, Z, ridge):
-    """ridge + W_(1) @ rows(z z^T) and XW_(1) @ Z over the observed columns,
-    with Z the matching rows of khatri_rao(A, S), shape (C, B, R)."""
-    return (_with_ridge(W @ _outer_rows(Z), ridge, Z.shape[2]),
-            (XW @ _flat(Z)).reshape(-1, Z.shape[2]))
+def _rhs(contract, X, F):
+    """contract(X, F) as (n*B, R) right-hand sides."""
+    return contract(X, _flat(F)).reshape(-1, F.shape[2])
 
 
-def _contraction_buffers(B, R, N, T):
-    """Zero (B*R*R, N, T) and (B*R, N, T) arrays for _home_contractions."""
-    return np.zeros((B * R * R, N, T)), np.zeros((B * R, N, T))
+# a (K, N, T) home contraction contracted over months with a (T, K) F,
+# or over appliances with an (N, K) F
+_over_months = partial(np.einsum, "qjk,kq->jq")
+_over_appliances = partial(np.einsum, "qjk,jq->kq")
 
 
-def _home_contractions(W, XW, cols, H, buffers):
-    """(V, U) = (rows(h h^T)^T @ W_(1), H^T @ XW_(1)) per member, written
-    into the observed columns of ``buffers`` and returned as them.
+def _over_homes(X, Ft, cols, buffer):
+    """Ft @ X for a (K, M) Ft and X = W_(1) or XW_(1), written into the
+    observed columns of a zero (K, N, T) ``buffer`` and returned as it;
+    the rest stays zero, so one buffer serves every sweep of a fit."""
+    buffer.reshape(len(buffer), -1)[:, cols] = Ft @ X
+    return buffer
 
-    The other columns of the buffers stay zero, so one pair serves every
-    sweep of a fit.  Both depend on H alone, so the appliance and season
-    updates of one sweep share them.
-    """
-    M, B, R = H.shape
-    V, U = buffers
-    # rows(h h^T)^T built from H^T: a third of the cost of _outer_rows(H).T
+
+def _outer_rows_t(H):
+    """rows(h h^T)^T per member, (M, B, R) -> (B*R*R, M), built from H^T:
+    a third of the cost of _outer_rows(H).T."""
     Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
-    V.reshape(len(V), -1)[:, cols] = (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(-1, M) @ W
-    U.reshape(len(U), -1)[:, cols] = Ht.reshape(-1, M) @ XW
-    return V, U
-
-
-def _app_family(V, U, S, ridge):
-    """Contract V and U over months with rows(s s^T) and S."""
-    return (_with_ridge(np.einsum("qjk,kq->jq", V, _outer_rows(S)), ridge, S.shape[2]),
-            np.einsum("pjk,kp->jp", U, _flat(S)).reshape(-1, S.shape[2]))
-
-
-def _season_family(V, U, A, ridge):
-    """Contract V and U over appliances with rows(a a^T) and A."""
-    return (_with_ridge(np.einsum("qjk,jq->kq", V, _outer_rows(A)), ridge, A.shape[2]),
-            np.einsum("pjk,jp->kp", U, _flat(A)).reshape(-1, A.shape[2]))
+    return (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(-1, len(H))
 
 
 def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
@@ -191,38 +180,46 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
     """The home and appliance precisions of ``factors``, by the sweep's
     own products."""
     H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
+    r = factors.rank
     ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
-                     np.ones((1, factors.rank), dtype=bool))
-    W, XW, cols = masked_readings(tensor, omega)
-    hp, _ = _home_family(W, XW, support_rows(A, S, cols), ridges[0])
-    V, U = _home_contractions(W, XW, cols, H,
-                              _contraction_buffers(1, factors.rank, len(A), len(S)))
-    ap, _ = _app_family(V, U, S, ridges[1])
-    return SufficientStats(home_precision=hp, app_precision=ap)
+                     np.ones((1, r), dtype=bool))
+    W, _, cols = masked_readings(tensor, omega)
+    V = _over_homes(W, _outer_rows_t(H), cols, np.zeros((r * r, len(A), len(S))))
+    return SufficientStats(
+        home_precision=_precision(np.matmul, W, support_rows(A, S, cols), ridges[0]),
+        app_precision=_precision(_over_months, V, S, ridges[1]))
+
+
+def _beyond_trace_bound(precision, lam: float) -> bool:
+    """Whether the trace bound cannot vouch for a stack of lambda*I + G,
+    G PSD.  Every eigenvalue lies in [lambda, trace - (r-1)*lambda], so
+    where that ratio stays within CONDITION_LIMIT over the stack, so does
+    every condition.  Padding a member from r to R adds (R-r)*lambda to
+    its trace and to what is subtracted: its bound is unchanged.  With
+    lambda = 0 the bound never vouches."""
+    if lam <= 0:
+        return True
+    traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
+    bound = (traces.max(initial=0.0) - (precision.shape[-1] - 1) * lam) / lam
+    return not bound <= CONDITION_LIMIT
 
 
 def _solve_family(precision, rhs, lam: float, ranks=None):
     """Solve a stack of lambda*I + G systems, G PSD, behind the condition guard.
 
-    Every eigenvalue of lambda*I + G lies in [lambda, trace - (r-1)*lambda],
-    so when that ratio is within CONDITION_LIMIT the SVD behind
+    Where the trace bound vouches for the stack the SVD behind
     np.linalg.cond is skipped; otherwise the exact condition decides.
     Past the guard, r = 1 and r = 2 are solved in closed form (a division,
     the adjugate over the determinant) and larger r by LAPACK.
 
     ``ranks`` gives the member ranks of a padded (rows * B, R, R) stack
-    (by default one member of rank R).  Padding a member from r to R adds
-    (R-r)*lambda both to its trace and to what the bound subtracts, so its
-    bound is unchanged.  Its exact condition is taken over its own r x r
-    block: the padding's eigenvalue lambda is at most the block's
-    smallest, so the padded matrix's condition can exceed the member's.
+    (by default one member of rank R).  A member's exact condition is
+    taken over its own r x r block: the padding's eigenvalue lambda is at
+    most the block's smallest, so the padded matrix's condition can exceed
+    the member's.
     """
     r = precision.shape[-1]
-    bound = np.inf
-    if lam > 0:
-        traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
-        bound = (traces.max(initial=0.0) - (r - 1) * lam) / lam
-    if not (np.isfinite(bound) and bound <= CONDITION_LIMIT):
+    if _beyond_trace_bound(precision, lam):
         ranks = ranks or [r]
         blocks = precision.reshape(-1, len(ranks), r, r)
         conds = np.concatenate([np.linalg.cond(blocks[:, b, :k, :k])
@@ -262,28 +259,31 @@ DEAD_COLUMN_RTOL = 1e-5
 
 def _dead_columns(mat, active) -> np.ndarray:
     """(B, R) mask of the columns of an (n, B, R) stack so small relative
-    to their member's largest that their component is numerically gone
-    (and about to make the next precision singular); all of a member's
-    columns when its largest is 0.  Padding columns are zero, so they
-    never raise a member's peak, and ``active`` keeps them from counting
-    as dead."""
+    to their member's largest that their component is numerically gone;
+    all of a member's columns when its largest is 0.  Padding columns are
+    zero, so they never raise a member's peak, and ``active`` keeps them
+    from counting as dead."""
     flat = _flat(mat)
-    norms = np.sqrt(np.einsum("ij,ij->j", flat, flat))
-    if len(active) == 1:  # a lone member fills the stack's width: one peak
-        return (norms <= DEAD_COLUMN_RTOL * norms.max())[None]
-    norms = norms.reshape(active.shape)
+    norms = np.sqrt(np.einsum("ij,ij->j", flat, flat)).reshape(active.shape)
     return active & (norms <= DEAD_COLUMN_RTOL * norms.max(axis=1, keepdims=True))
 
 
 def _revive_columns(mat, fresh_mat, active) -> list:
-    """Reseed the dead columns of an (n, B, R) stack in place; returns the
-    positions of the members that had one.
+    """Reseed the dead columns of an (n, B, R) stack in place from the
+    fit's deterministic fresh init; returns the positions of the members
+    that had one.
 
     A component with a (near-)zero column in any factor matrix is a
     fixed point of the updates: its rank-1 designs vanish, every solve
-    returns zero for it, and no amount of new readings can move it.  It
-    also drives the precision condition number through the guard.
-    Reseeding from the fit's deterministic fresh init breaks the trap.
+    returns zero for it, and no amount of new readings can move it.
+
+    The rule: a fit revives its three factor stacks once, at its start,
+    where a warm start may carry a dead column (for a cold start, a
+    no-op).  After a family update it revives only where the trace bound
+    could not vouch for that family's solve (lambda = 0, or lambda tiny
+    against the readings): there a dead column's eigenvalue lambda can
+    fail the condition guard.  Elsewhere none is made, since a mid-fit
+    reseed makes the result hang on float summation order.
     """
     dead = _dead_columns(mat, active)
     flat_dead = dead.ravel()
@@ -334,8 +334,10 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     path (lambda * 0 added to the season rhs, 0 subtracted in the
     objective), bit-identical to ``np.zeros((T, rank))``.  Each member's
     factors, objective trace and report are those of its own :func:`fit`
-    up to summation order, which revivals can amplify (ranks below the
-    largest are solved padded, so by LAPACK rather than in closed form).
+    up to summation order (ranks below the largest are solved padded, so
+    by LAPACK rather than in closed form).  A mid-fit revival can amplify
+    that difference; by the rule in :func:`_revive_columns` one happens
+    only where the trace bound cannot vouch for a family's solve.
     A member that has its result keeps sweeping on the stack until the
     last one does, so its later sweeps still pass the condition guard;
     with lambda > 0 its trace bound stays far below CONDITION_LIMIT.
@@ -359,36 +361,33 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     active = np.arange(R) < np.array(ranks)[:, None]
     inits = [init_factors(tensor, c, caps) for c in configs]
     fresh = [_stack([getattr(f, name) for f in inits], R) for name in "HAS"]
-    revivals_allowed = len(omega) > 0
     starts = [f if w is None else w for w, f in zip(warm_starts, inits)]
     H, A, S = (_stack([getattr(f, name) for f in starts], R) for name in "HAS")
-    if revivals_allowed:
-        # a cold member's columns are its fresh init's: reviving them is a no-op
-        for mat, fresh_mat in zip((H, A, S), fresh):
-            _revive_columns(mat, fresh_mat, active)
+    for mat, fresh_mat in zip((H, A, S), fresh):
+        _revive_columns(mat, fresh_mat, active)
     prior_rhs = lams[2] * prior   # the season rhs's prior term, (T, B, R)
 
     ridges = _ridges(lams, active)
-    buffers = _contraction_buffers(len(configs), R, len(A), len(S))
+    V, U = (np.zeros((len(configs) * k, len(A), len(S))) for k in (R * R, R))
     Z = support_rows(A, S, cols)
     traces = [[] for _ in configs]
     results = [None] * len(configs)
 
     def update(family, precision, rhs):
-        """Family 0, 1 or 2 (home, appliance, season) solved, projected and
-        revived as an (n, B, R) stack; revived members go into ``revived``."""
+        """Family 0, 1 or 2 (H, A, S) solved and projected as an (n, B, R) stack."""
         mat = _project_rows(_solve_family(precision, rhs, lams[family], ranks),
                             caps[family]).reshape(-1, len(configs), R)
-        if revivals_allowed:
+        if _beyond_trace_bound(precision, lams[family]):  # see _revive_columns
             revived.update(_revive_columns(mat, fresh[family], active))
         return mat
 
     for sweep in range(base.max_sweeps):
         revived = set()
-        H = update(0, *_home_family(W, XW, Z, ridges[0]))
-        V, U = _home_contractions(W, XW, cols, H, buffers)
-        A = update(1, *_app_family(V, U, S, ridges[1]))
-        sp, sr = _season_family(V, U, A, ridges[2])
+        H = update(0, _precision(np.matmul, W, Z, ridges[0]), _rhs(np.matmul, XW, Z))
+        V = _over_homes(W, _outer_rows_t(H), cols, V)
+        U = _over_homes(XW, np.ascontiguousarray(_flat(H).T), cols, U)
+        A = update(1, _precision(_over_months, V, S, ridges[1]), _rhs(_over_months, U, S))
+        sp, sr = _precision(_over_appliances, V, A, ridges[2]), _rhs(_over_appliances, U, A)
         # in place: a new array would change sr's layout, and with it the
         # summation order of the solve and projection that follow
         sr += prior_rhs.reshape(sr.shape)

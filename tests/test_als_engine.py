@@ -51,11 +51,17 @@ def sweep_stats(tensor, omega, factors, lams):
     H, A, S = (m[:, None, :] for m in (factors.H, factors.A, factors.S))
     ridges = als_engine._ridges(lams, np.ones((1, factors.rank), dtype=bool))
     W, XW, cols = masked_readings(tensor, omega)
-    buffers = als_engine._contraction_buffers(1, factors.rank, len(A), len(S))
-    V, U = als_engine._home_contractions(W, XW, cols, H, buffers)
-    return [*als_engine._home_family(W, XW, support_rows(A, S, cols), ridges[0]),
-            *als_engine._app_family(V, U, S, ridges[1]),
-            *als_engine._season_family(V, U, A, ridges[2])]
+    r, Z = factors.rank, support_rows(A, S, cols)
+    V = als_engine._over_homes(W, als_engine._outer_rows_t(H), cols,
+                               np.zeros((r * r, len(A), len(S))))
+    U = als_engine._over_homes(XW, np.ascontiguousarray(H[:, 0, :].T), cols,
+                               np.zeros((r, len(A), len(S))))
+    out = []
+    for contract, X, Y, F, ridge in ((np.matmul, W, XW, Z, ridges[0]),
+                                     (als_engine._over_months, V, U, S, ridges[1]),
+                                     (als_engine._over_appliances, V, U, A, ridges[2])):
+        out += [als_engine._precision(contract, X, F, ridge), als_engine._rhs(contract, Y, F)]
+    return out
 
 
 def config_lams(cfg):
@@ -189,6 +195,29 @@ class TestAccumulateStats:
                 + lams[1] * np.sum(f.A ** 2) + lams[2] * np.sum(s_term ** 2))
         got = masked_objective(tensor, omega, f, cfg, season_prior=prior)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", list(ORACLE_MASKS))
+    def test_precisions_bit_identical_to_the_rhs_building_path(self, rank, kind):
+        # the precisions as the sweep builds them beside the home rhs
+        # XW_(1) @ Z and U = H^T @ XW_(1), written out: accumulate_stats
+        # builds neither and must still match them bit for bit
+        tensor, omega, f, lams = oracle_case(kind, rank)
+        cfg = ModelConfig(rank=rank, lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
+        stats = accumulate_stats(tensor, omega, f, cfg)
+        H, A, S = (m[:, None, :] for m in (f.H, f.A, f.S))
+        ridges = als_engine._ridges(lams, np.ones((1, rank), dtype=bool))
+        W, _, cols = masked_readings(tensor, omega)
+        Z = support_rows(A, S, cols)
+        home = (W @ als_engine._outer_rows(Z) + ridges[0]).reshape(-1, rank, rank)
+        Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
+        V = np.zeros((rank * rank, len(A), len(S)))
+        V.reshape(len(V), -1)[:, cols] = (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(
+            -1, len(H)) @ W
+        app = (np.einsum("qjk,kq->jq", V, als_engine._outer_rows(S))
+               + ridges[1]).reshape(-1, rank, rank)
+        assert np.array_equal(stats.home_precision, home)
+        assert np.array_equal(stats.app_precision, app)
 
     def test_precisions_are_spd_with_ridge_seed(self, tiny_tensor, tiny_omega):
         rng = np.random.default_rng(6)
@@ -501,8 +530,9 @@ def test_100_sweep_fit_matches_frozen_factors():
 
 def _committee_instance():
     """A small instance on which a member sliced from the stack tracks its
-    solo fit: ranks 1 and 2 fit without revivals, and ranks 3 and 4
-    revive once, at the same sweep as alone."""
+    solo fit.  At lambda=1 the trace bound vouches for every family, so no
+    member revives mid-fit: _revive_columns runs only on the three start
+    stacks, and finds no dead column there."""
     tensor, _ = generate_synthetic(SyntheticConfig(
         num_homes=14, num_appliances=5, num_months=7, true_rank=2,
         noise_sigma=0.05, seed=1))
@@ -530,25 +560,71 @@ def _assert_matches_solo(member, solo_fit):
     np.testing.assert_allclose(report.objective_trace, solo_report.objective_trace, rtol=1e-9)
 
 
+@pytest.fixture
+def revive_calls(monkeypatch):
+    """The member list that each _revive_columns call returns, in order."""
+    calls = []
+    real_revive = als_engine._revive_columns
+
+    def counted(mat, fresh_mat, active):
+        calls.append(real_revive(mat, fresh_mat, active))
+        return calls[-1]
+
+    monkeypatch.setattr(als_engine, "_revive_columns", counted)
+    return calls
+
+
+def test_revives_mid_fit_only_where_the_trace_bound_cannot_vouch(revive_calls,
+                                                                 monkeypatch):
+    # lambda=100: the bound vouches for every family, so only the three
+    # start stacks are revived
+    tensor, omega = _committee_instance()
+    cfg = ModelConfig(rank=2, lambda1=100.0, lambda2=100.0, lambda3=100.0,
+                      max_sweeps=100, tol=1e-15, seed=3)
+    assert fit(tensor, omega, cfg)[2].sweeps_run == 100
+    assert len(revive_calls) == 3
+    # c02's seed-2 instance: at lambda=1e-6 the exact condition guards the
+    # solves, a column dies mid-fit, and its revival lets the fit finish
+    tensor, _ = _noiseless_instance(seed=2)
+    cfg = ModelConfig(rank=2, lambda1=1e-6, lambda2=1e-6, lambda3=1e-6,
+                      max_sweeps=200, tol=1e-12, seed=102)
+    revive_calls.clear()
+    factors, _, _ = fit(tensor, full_omega(tensor), cfg)
+    assert any(revive_calls[3:])
+    rel = (np.linalg.norm(factors.reconstruct() - tensor.readings)
+           / np.linalg.norm(tensor.readings))
+    assert rel <= 1e-3
+    # with the start stacks' revivals alone, the dead column fails the guard
+    counted = als_engine._revive_columns
+    monkeypatch.setattr(als_engine, "_revive_columns",
+                        lambda *args: counted(*args) if len(revive_calls) < 3 else [])
+    revive_calls.clear()
+    with pytest.raises(NumericalError):
+        fit(tensor, full_omega(tensor), cfg)
+
+
 class TestFitCommittee:
-    def test_members_match_their_solo_fits(self, monkeypatch):
+    def test_members_match_their_solo_fits(self, revive_calls, monkeypatch):
         tensor, omega = _committee_instance()
         configs = _committee_configs()
-        padding_seen = []
-        real_revive = als_engine._revive_columns
+        padding = np.arange(4) >= np.array([cfg.rank for cfg in configs])[:, None]
+        projected = []
+        real_project = als_engine._project_rows
 
-        def checked_revive(mat, fresh_mat, active):
-            # every projected stack passes through here, padding included
-            assert (mat[:, ~active] == 0.0).all()
-            out = real_revive(mat, fresh_mat, active)
-            assert (mat[:, ~active] == 0.0).all()
-            padding_seen.append(int((~active).sum()))
+        def checked_project(mat, cap):
+            # every solved stack passes through here, as (n*B, R) rows
+            assert (mat.reshape(-1, 4, 4)[:, padding] == 0.0).all()
+            out = real_project(mat, cap)
+            assert (out.reshape(-1, 4, 4)[:, padding] == 0.0).all()
+            projected.append(len(out))
             return out
 
-        monkeypatch.setattr(als_engine, "_revive_columns", checked_revive)
+        monkeypatch.setattr(als_engine, "_project_rows", checked_project)
         members = fit_committee(tensor, omega, configs)
         monkeypatch.undo()
-        assert max(padding_seen) == 6  # ranks 1, 2, 3 padded to 4
+        assert padding.sum() == 6  # ranks 1, 2, 3 padded to 4
+        assert len(projected) == 3 * max(report.sweeps_run for _, report in members)
+        assert revive_calls == [[], [], []]  # the start stacks only
         for cfg, member in zip(configs, members):
             _assert_matches_solo(member, fit(tensor, omega, cfg))
 

@@ -48,6 +48,21 @@ warm-started model is member 0, the cold committee members follow.  Dead
 columns are reseeded at a fit's start, and after a family update only
 where the guard's trace bound cannot vouch for it (_revive_columns).
 
+The condition guard's trace bound is checked once per fit, at its start,
+where it can be shown to hold for the whole fit (_fit_trace_bounds).
+Every row of family f keeps its norm within rho_f for the whole fit: a
+solved row is projected within cap_f, a start row is as given, and a
+reseed swaps some of a row's columns for a fresh init's, so rho_f^2 =
+max(cap_f^2, largest start row norm^2) + largest fresh-init row norm^2.
+As |a o s|^2 <= |a|^2 |s|^2, a family's precision trace is at most
+R*lambda + n_max * rho_o1^2 * rho_o2^2, n_max being the most observed
+cells of any of its rows (o1, o2 the other two families).  A
+family with 1 + n_max * rho_o1^2 * rho_o2^2 / lambda within
+CONDITION_LIMIT / 2 skips the per-update check for the whole fit, and so
+never revives mid-fit.  The others (lambda = 0, or lambda tiny against
+the readings) take the check once per update, and its verdict serves
+both the guard and the revival rule.
+
 Past the condition guard, rank 1 and rank 2 families are solved in
 closed form (a division; the adjugate over the determinant), which on a
 1000-row stack is several times faster than the batched LAPACK solve.
@@ -145,8 +160,9 @@ def _ridges(lams, active):
 def _precision(contract, X, F, ridge):
     """ridge + contract(X, rows(f f^T)) as (n*B, R, R) precisions, one per
     (row, member), for a (rows, B, R) stack F of the other factors' rows."""
-    R = F.shape[2]
-    return (contract(X, _outer_rows(F)) + ridge).reshape(-1, R, R)
+    out = contract(X, _outer_rows(F))
+    out += ridge
+    return out.reshape(-1, F.shape[2], F.shape[2])
 
 
 def _rhs(contract, X, F):
@@ -168,11 +184,11 @@ def _over_homes(X, Ft, cols, buffer):
     return buffer
 
 
-def _outer_rows_t(H):
-    """rows(h h^T)^T per member, (M, B, R) -> (B*R*R, M), built from H^T:
-    a third of the cost of _outer_rows(H).T."""
-    Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
-    return (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(-1, len(H))
+def _outer_rows_t(Ht):
+    """rows(h h^T)^T per member, (B*R*R, M), from the contiguous (B, R, M)
+    transpose Ht of an (M, B, R) stack H: a third of the cost of
+    _outer_rows(H).T."""
+    return (Ht[:, :, None, :] * Ht[:, None, :, :]).reshape(-1, Ht.shape[2])
 
 
 def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
@@ -184,7 +200,8 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
     ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
                      np.ones((1, r), dtype=bool))
     W, _, cols = masked_readings(tensor, omega)
-    V = _over_homes(W, _outer_rows_t(H), cols, np.zeros((r * r, len(A), len(S))))
+    V = _over_homes(W, _outer_rows_t(np.ascontiguousarray(H.transpose(1, 2, 0))), cols,
+                    np.zeros((r * r, len(A), len(S))))
     return SufficientStats(
         home_precision=_precision(np.matmul, W, support_rows(A, S, cols), ridges[0]),
         app_precision=_precision(_over_months, V, S, ridges[1]))
@@ -196,7 +213,11 @@ def _beyond_trace_bound(precision, lam: float) -> bool:
     where that ratio stays within CONDITION_LIMIT over the stack, so does
     every condition.  Padding a member from r to R adds (R-r)*lambda to
     its trace and to what is subtracted: its bound is unchanged.  With
-    lambda = 0 the bound never vouches."""
+    lambda = 0 the bound never vouches.
+
+    A fit calls it only for the families whose fit-start bound
+    (_fit_trace_bounds) exceeds CONDITION_LIMIT / 2, once per update; for
+    the others it would be False on every stack of the fit."""
     if lam <= 0:
         return True
     traces = np.einsum("nii->n", precision)  # np.trace is 3x slower here
@@ -204,11 +225,38 @@ def _beyond_trace_bound(precision, lam: float) -> bool:
     return not bound <= CONDITION_LIMIT
 
 
-def _solve_family(precision, rhs, lam: float, ranks=None):
+def _max_row_norm2(mat) -> float:
+    """The largest squared row norm in an (n, B, R) stack (0 when empty)."""
+    return float(np.einsum("nbr,nbr->nb", mat, mat).max(initial=0.0))
+
+
+def _fit_trace_bounds(W, split, stacks, fresh, caps, lams) -> list:
+    """Per family (H, A, S), a bound, taken at a fit's start, on the ratio
+    (trace - (R-1)*lambda) / lambda that _beyond_trace_bound reads on any
+    of that family's precision stacks in the fit: 1 + n_max * rho_o1^2 *
+    rho_o2^2 / lambda, as the module docstring derives it; inf where
+    lambda is 0.  ``W`` and ``split`` = divmod(cols, T) are the fit's
+    observed columns, ``stacks`` its (n, B, R) start stacks and ``fresh``
+    its fresh inits.
+    """
+    j, k = split
+    per_col = W.sum(axis=0)
+    n_max = [W.sum(axis=1).max(initial=0.0),
+             np.bincount(j, per_col, len(stacks[1])).max(initial=0.0),
+             np.bincount(k, per_col, len(stacks[2])).max(initial=0.0)]
+    rho2 = [max(cap * cap, _max_row_norm2(m)) + _max_row_norm2(f)
+            for m, f, cap in zip(stacks, fresh, caps)]
+    return [1.0 + n * rho2[(f + 1) % 3] * rho2[(f + 2) % 3] / lam if lam > 0 else np.inf
+            for f, (n, lam) in enumerate(zip(n_max, lams))]
+
+
+def _solve_family(precision, rhs, lam: float, ranks=None, beyond=None):
     """Solve a stack of lambda*I + G systems, G PSD, behind the condition guard.
 
     Where the trace bound vouches for the stack the SVD behind
     np.linalg.cond is skipped; otherwise the exact condition decides.
+    ``beyond`` is the caller's verdict of _beyond_trace_bound(precision,
+    lam), or None to take it here.
     Past the guard, r = 1 and r = 2 are solved in closed form (a division,
     the adjugate over the determinant) and larger r by LAPACK.
 
@@ -219,7 +267,9 @@ def _solve_family(precision, rhs, lam: float, ranks=None):
     the member's.
     """
     r = precision.shape[-1]
-    if _beyond_trace_bound(precision, lam):
+    if beyond is None:
+        beyond = _beyond_trace_bound(precision, lam)
+    if beyond:
         ranks = ranks or [r]
         blocks = precision.reshape(-1, len(ranks), r, r)
         conds = np.concatenate([np.linalg.cond(blocks[:, b, :k, :k])
@@ -231,13 +281,11 @@ def _solve_family(precision, rhs, lam: float, ranks=None):
     if r == 1:
         return rhs / precision[:, :, 0]
     if r == 2:
-        a, b = precision[:, 0, 0], precision[:, 0, 1]
-        c, d = precision[:, 1, 0], precision[:, 1, 1]
-        u, v = rhs[:, 0], rhs[:, 1]
-        x = np.empty_like(rhs)
-        x[:, 0] = d * u - b * v
-        x[:, 1] = a * v - c * u
-        x /= (a * d - b * c)[:, None]
+        # rows (a, b, c, d) of [[a, b], [c, d]]: x = (d u - b v, a v - c u) / (a d - b c)
+        p = precision.reshape(-1, 4)
+        x = p[:, 3::-3] * rhs
+        x -= p[:, 1:3] * rhs[:, ::-1]
+        x /= (p[:, 0] * p[:, 3] - p[:, 1] * p[:, 2])[:, None]
         return x
     try:
         return np.linalg.solve(precision, rhs[..., None])[..., 0]
@@ -251,7 +299,8 @@ def _project_rows(mat, cap):
     # einsum row norms: under half the time of np.linalg.norm(axis=1)
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     # cap / cap is exactly 1: rows within the cap are left as they are
-    return out * (cap / np.maximum(norms, cap))[:, None]
+    out *= (cap / np.maximum(norms, cap))[:, None]
+    return out
 
 
 DEAD_COLUMN_RTOL = 1e-5
@@ -283,7 +332,10 @@ def _revive_columns(mat, fresh_mat, active) -> list:
     could not vouch for that family's solve (lambda = 0, or lambda tiny
     against the readings): there a dead column's eigenvalue lambda can
     fail the condition guard.  Elsewhere none is made, since a mid-fit
-    reseed makes the result hang on float summation order.
+    reseed makes the result hang on float summation order.  A family
+    whose fit-start bound (_fit_trace_bounds) is within CONDITION_LIMIT / 2
+    is vouched for at every update, so it never revives mid-fit; that
+    bound counts a reseeded column's fresh row norm in rho_f.
     """
     dead = _dead_columns(mat, active)
     flat_dead = dead.ravel()
@@ -365,36 +417,46 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
     H, A, S = (_stack([getattr(f, name) for f in starts], R) for name in "HAS")
     for mat, fresh_mat in zip((H, A, S), fresh):
         _revive_columns(mat, fresh_mat, active)
-    prior_rhs = lams[2] * prior   # the season rhs's prior term, (T, B, R)
+    prior_rhs = (lams[2] * prior).reshape(-1, R)   # the season rhs's prior term
+    # support_rows(A, S, cols) is A[j] * S[k]: its index split, once per fit
+    j, k = np.divmod(cols, len(S))
+    # the families whose every solve the trace bound vouches for: they skip
+    # the per-update check (and so never revive mid-fit); the /2 is a
+    # margin for rounding
+    vouched = [bound <= CONDITION_LIMIT / 2 for bound in
+               _fit_trace_bounds(W, (j, k), (H, A, S), fresh, caps, lams)]
 
     ridges = _ridges(lams, active)
-    V, U = (np.zeros((len(configs) * k, len(A), len(S))) for k in (R * R, R))
-    Z = support_rows(A, S, cols)
+    V, U = (np.zeros((len(configs) * size, len(A), len(S))) for size in (R * R, R))
+    Z = A[j] * S[k]
     traces = [[] for _ in configs]
     results = [None] * len(configs)
 
     def update(family, precision, rhs):
         """Family 0, 1 or 2 (H, A, S) solved and projected as an (n, B, R) stack."""
-        mat = _project_rows(_solve_family(precision, rhs, lams[family], ranks),
+        lam = lams[family]
+        beyond = not vouched[family] and _beyond_trace_bound(precision, lam)
+        mat = _project_rows(_solve_family(precision, rhs, lam, ranks, beyond),
                             caps[family]).reshape(-1, len(configs), R)
-        if _beyond_trace_bound(precision, lams[family]):  # see _revive_columns
+        if beyond:  # see _revive_columns
             revived.update(_revive_columns(mat, fresh[family], active))
         return mat
 
     for sweep in range(base.max_sweeps):
         revived = set()
         H = update(0, _precision(np.matmul, W, Z, ridges[0]), _rhs(np.matmul, XW, Z))
-        V = _over_homes(W, _outer_rows_t(H), cols, V)
-        U = _over_homes(XW, np.ascontiguousarray(_flat(H).T), cols, U)
+        Ht = np.ascontiguousarray(H.transpose(1, 2, 0))   # also U's H^T
+        V = _over_homes(W, _outer_rows_t(Ht), cols, V)
+        U = _over_homes(XW, Ht.reshape(-1, len(H)), cols, U)
         A = update(1, _precision(_over_months, V, S, ridges[1]), _rhs(_over_months, U, S))
         sp, sr = _precision(_over_appliances, V, A, ridges[2]), _rhs(_over_appliances, U, A)
         # in place: a new array would change sr's layout, and with it the
         # summation order of the solve and projection that follow
-        sr += prior_rhs.reshape(sr.shape)
+        sr += prior_rhs
         S = update(2, sp, sr)
 
         # the objective's rows of khatri_rao(A, S) are the next sweep's
-        Z = support_rows(A, S, cols)
+        Z = A[j] * S[k]
         losses = masked_losses(W, XW, Z, H, A, S, base, prior)
         for b, (r, trace) in enumerate(zip(ranks, traces)):
             if results[b] is not None:

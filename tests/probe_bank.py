@@ -4,9 +4,9 @@ scaled by (1 + 1e-13).
 Reruns the bank's 100 actsense and random directional runs (10 worlds x
 5 folds, L=3, lambda=100) on the generated readings and on the nudged
 ones, then prints how many year RMSEs moved by more than 1e-9 relative
-and the largest move.  A fit whose result hangs on float summation order
-shows up here.  The file is not a test module, so pytest does not
-collect it; it takes one to two minutes:
+and the largest move, and exits 1 if any did.  A fit whose result hangs
+on float summation order shows up here.  The file is not a test module,
+so pytest does not collect it; it takes one to two minutes:
 
     PYTHONPATH=src python3 tests/probe_bank.py
 """
@@ -34,7 +34,8 @@ def main():
     over = sum(m > THRESHOLD for m in moves)
     print(f"{over}/{len(moves)} runs moved by more than {THRESHOLD:g} relative "
           f"(max {max(moves):.3g})")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -52,7 +52,8 @@ def sweep_stats(tensor, omega, factors, lams):
     ridges = als_engine._ridges(lams, np.ones((1, factors.rank), dtype=bool))
     W, XW, cols = masked_readings(tensor, omega)
     r, Z = factors.rank, support_rows(A, S, cols)
-    V = als_engine._over_homes(W, als_engine._outer_rows_t(H), cols,
+    Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
+    V = als_engine._over_homes(W, als_engine._outer_rows_t(Ht), cols,
                                np.zeros((r * r, len(A), len(S))))
     U = als_engine._over_homes(XW, np.ascontiguousarray(H[:, 0, :].T), cols,
                                np.zeros((r, len(A), len(S))))
@@ -353,8 +354,40 @@ class TestSolveFamily:
         with pytest.raises(NumericalError):
             _solve_family(stack, rhs, lam)
 
+    def test_rank2_closed_form_is_the_written_out_adjugate_bit_for_bit(self):
+        # general (not symmetric) blocks, so a swapped b and c would show;
+        # beyond=False skips the guard
+        rng = np.random.default_rng(12)
+        for size in (1, 7, 30, 1000):
+            stack = rng.normal(size=(size, 2, 2)) + 3.0 * np.eye(2)
+            rhs = rng.normal(size=(size, 2))
+            rhs[::3] = 0.0
+            a, b = stack[:, 0, 0], stack[:, 0, 1]
+            c, d = stack[:, 1, 0], stack[:, 1, 1]
+            u, v = rhs[:, 0], rhs[:, 1]
+            want = np.stack([d * u - b * v, a * v - c * u], axis=1) / (a * d - b * c)[:, None]
+            assert np.array_equal(_solve_family(stack, rhs, 1.0, beyond=False), want)
+
 
 class TestProject:
+    def test_in_place_rescale_is_clamp_then_scale_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        cap = 5.0
+        for size in (4, 30, 1000):
+            mat = rng.normal(scale=4.0, size=(size, 2))
+            mat[0] = 0.0                           # a zero row
+            mat[1] = [3.0, 4.0]                    # on the cap: norm exactly 5
+            mat[2] = [cap, -1.0]                   # on the cap once clamped
+            mat[3] = [30.0, 40.0]                  # beyond it
+            given = mat.copy()
+            out = np.maximum(mat, 0.0)
+            norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+            want = out * (cap / np.maximum(norms, cap))[:, None]
+            got = _project_rows(mat, cap)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[:3], [[0.0, 0.0], [3.0, 4.0], [cap, 0.0]])
+            assert np.array_equal(mat, given)      # the input is left as it is
+
     def test_already_feasible(self):
         np.testing.assert_array_equal(_project_rows(np.array([[3.0, 4.0]]), 10.0),
                                       [[3.0, 4.0]])
@@ -603,6 +636,101 @@ def test_revives_mid_fit_only_where_the_trace_bound_cannot_vouch(revive_calls,
         fit(tensor, full_omega(tensor), cfg)
 
 
+def _bound_worlds():
+    """Three synthetic worlds of different shapes: home 0 sees every cell,
+    the others about half."""
+    worlds = []
+    for seed, (M, N, T) in enumerate([(8, 4, 6), (14, 5, 7), (30, 7, 12)]):
+        tensor, _ = generate_synthetic(SyntheticConfig(
+            num_homes=M, num_appliances=N, num_months=T, true_rank=2,
+            noise_sigma=0.05, seed=seed))
+        seen = np.random.default_rng(seed).random(tensor.mask.shape) < 0.5
+        seen[:, tensor.aggregate_index] = True
+        seen[0] = True
+        worlds.append((tensor, ObservationSet(seen & tensor.mask)))
+    return worlds
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 100.0, 1e4])
+@pytest.mark.parametrize("start", ["cold", "cold committee", "warm beyond the caps"])
+def test_fit_start_trace_bound_holds_for_every_solve(lam, start, monkeypatch):
+    real_bounds = als_engine._fit_trace_bounds
+    real_solve = als_engine._solve_family
+    real_beyond = als_engine._beyond_trace_bound
+    bounds, solves, checks = [], [], []
+
+    def solve(precision, rhs, lam, ranks=None, beyond=None):
+        solves.append((precision, beyond))
+        return real_solve(precision, rhs, lam, ranks, beyond)
+
+    def check(precision, lam):
+        checks.append(real_beyond(precision, lam))
+        return checks[-1]
+
+    monkeypatch.setattr(als_engine, "_fit_trace_bounds",
+                        lambda *args: bounds.append(real_bounds(*args)) or bounds[-1])
+    monkeypatch.setattr(als_engine, "_solve_family", solve)
+    monkeypatch.setattr(als_engine, "_beyond_trace_bound", check)
+    base = ModelConfig(rank=2, lambda1=lam, lambda2=lam, lambda3=lam, max_sweeps=20,
+                       tol=1e-15, seed=5)
+    for tensor, omega in _bound_worlds():
+        for calls in (bounds, solves, checks):
+            calls.clear()
+        if start == "cold":
+            fit_committee(tensor, omega, [base])
+        elif start == "cold committee":
+            fit_committee(tensor, omega, [replace(base, rank=r, seed=r) for r in (1, 2, 3)])
+        else:
+            # rank 1, where |o1 * o2| = |o1| |o2|, with every row three times
+            # its cap: on home 0's first update the bound is near tight
+            caps = (20.0, 30.0, 40.0)
+            warm = LatentFactors(*(np.full((n, 1), 3.0 * cap)
+                                   for n, cap in zip(tensor.readings.shape, caps)), rank=1)
+            fit_committee(tensor, omega, [replace(base, rank=1, norm_caps=caps)],
+                          warm_starts=[warm])
+        (fit_bounds,) = bounds
+        sweeps = len(solves) // 3
+        assert len(solves) == 3 * sweeps > 0
+        vouched = [bound <= CONDITION_LIMIT / 2 for bound in fit_bounds]
+        for i, (precision, beyond) in enumerate(solves):
+            # the ratio _beyond_trace_bound reads never exceeds the fit-start bound
+            ratio = (np.einsum("nii->n", precision).max()
+                     - (precision.shape[-1] - 1) * lam) / lam
+            assert ratio <= fit_bounds[i % 3] * (1 + 1e-12)
+            if vouched[i % 3]:
+                assert beyond is False and not real_beyond(precision, lam)
+            else:
+                assert beyond == real_beyond(precision, lam)
+        # the per-update check runs once per update of an unvouched family
+        assert len(checks) == sweeps * vouched.count(False)
+        if lam == 1e-6:
+            assert checks
+        else:
+            assert vouched == [True] * 3
+
+
+def test_fit_trace_bounds_by_hand():
+    # 2 homes, 2 appliances, 3 months; observed columns j*3 + k = 0, 1, 4:
+    # home 0 sees all three, home 1 the first and the last
+    W = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    split = np.divmod(np.array([0, 1, 4]), 3)
+    stacks = [np.array(m)[:, None, :] for m in (
+        [[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]],
+        [[3.0, 0.0], [0.0, 0.0], [1.0, 1.0]])]
+    fresh = [np.array(m)[:, None, :] for m in (
+        [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]],
+        [[1.5, 0.0], [0.0, 1.5], [1.5, 0.0]])]
+    caps = (1.0, 2.0, 3.0)
+    # rho^2: max(1, 4) + 0.25, max(4, 1) + 1, max(9, 9) + 2.25; the most
+    # cells per row: 3 of home 0 (2 of home 1), 3 of appliance 0 (2 of
+    # appliance 1), 3 of month 1 (2 of month 0, 0 of month 2)
+    bounds = als_engine._fit_trace_bounds(W, split, stacks, fresh, caps, (2.0, 0.5, 4.0))
+    assert bounds == [1.0 + 3 * 5.0 * 11.25 / 2.0, 1.0 + 3 * 11.25 * 4.25 / 0.5,
+                      1.0 + 3 * 4.25 * 5.0 / 4.0]
+    assert als_engine._fit_trace_bounds(W, split, stacks, fresh, caps,
+                                        (0.0, 0.5, 4.0))[0] == np.inf
+
+
 class TestFitCommittee:
     def test_members_match_their_solo_fits(self, revive_calls, monkeypatch):
         tensor, omega = _committee_instance()
@@ -705,9 +833,9 @@ class TestFitCommittee:
         seen = []
         real_solve = als_engine._solve_family
 
-        def spy(precision, rhs, lam, ranks=None):
+        def spy(precision, rhs, lam, ranks=None, beyond=None):
             seen.append((list(ranks), precision.shape))
-            return real_solve(precision, rhs, lam, ranks)
+            return real_solve(precision, rhs, lam, ranks, beyond)
 
         monkeypatch.setattr(als_engine, "_solve_family", spy)
         members = fit_committee(tensor, omega, configs)

@@ -23,7 +23,8 @@ Only the columns of W_(1) that hold an observation enter these products
 (tensor_core.masked_readings): a monthly simulation sees no month after
 the current one, so most (appliance, month) columns are empty.  Z keeps
 the matching rows, V and U are written into the observed columns of
-buffers that stay zero elsewhere for the whole fit, and the objective's
+buffers that stay zero elsewhere for the whole fit (through one flat
+index per buffer, built at the fit's start), and the objective's
 residual covers the same columns.  Dropping all-zero columns drops only
 exact zeros, so only the summation order changes.
 
@@ -36,10 +37,14 @@ its rhs is zero, so padded columns solve to exact zeros; revival never
 reseeds them, and each member's dead-column test reads its own columns.
 Each member has its own warm start (or a cold start from its seed) and
 its own season prior (a zero prior where it has none, which adds exact
-zeros).  The objective is one pass over the stack, a (B, M, C) residual
-reduced per member, and each member keeps its own convergence test
-against the shared tol.  The stack keeps one shape for the whole fit: a
-member that converges (or reaches the shared max_sweeps) takes its
+zeros).  The objective is one pass over the stack: a (B, C, M) residual,
+in the layout of the C-contiguous (C, M) arrays whose .T views are
+W_(1) and XW_(1) (tensor_core.masked_readings), so that masking it and
+subtracting the readings run contiguous, reduced per member by one
+r @ r^T.  It feeds only the convergence test and the objective trace; no
+factor reads it.  Each member keeps its own convergence test against the
+shared tol.  The stack keeps one shape for the whole fit: a member that
+converges (or reaches the shared max_sweeps) takes its
 result at that sweep, what its own fit would give, and its rows sweep
 on, unrecorded, until every member has one.  fit is the one-member case
 (every reshape a view, the same products as a lone fit).  A
@@ -176,11 +181,18 @@ _over_months = partial(np.einsum, "qjk,kq->jq")
 _over_appliances = partial(np.einsum, "qjk,jq->kq")
 
 
-def _over_homes(X, Ft, cols, buffer):
+def _column_index(cols, K: int, NT: int) -> np.ndarray:
+    """Flat indices of the observed columns ``cols`` in each of the K rows
+    of a (K, N*T) buffer, row by row: _over_homes' scatter target."""
+    return (np.arange(K)[:, None] * NT + cols).ravel()
+
+
+def _over_homes(X, Ft, flat, buffer):
     """Ft @ X for a (K, M) Ft and X = W_(1) or XW_(1), written into the
-    observed columns of a zero (K, N, T) ``buffer`` and returned as it;
-    the rest stays zero, so one buffer serves every sweep of a fit."""
-    buffer.reshape(len(buffer), -1)[:, cols] = Ft @ X
+    observed columns of a zero (K, N, T) ``buffer`` at its flat indices
+    ``flat`` (_column_index) and returned as it; the rest stays zero, so
+    one buffer and one index serve every sweep of a fit."""
+    buffer.reshape(-1)[flat] = (Ft @ X).ravel()
     return buffer
 
 
@@ -200,7 +212,8 @@ def accumulate_stats(tensor: EnergyTensor, omega: ObservationSet,
     ridges = _ridges((config.lambda1, config.lambda2, config.lambda3),
                      np.ones((1, r), dtype=bool))
     W, _, cols = masked_readings(tensor, omega)
-    V = _over_homes(W, _outer_rows_t(np.ascontiguousarray(H.transpose(1, 2, 0))), cols,
+    V = _over_homes(W, _outer_rows_t(np.ascontiguousarray(H.transpose(1, 2, 0))),
+                    _column_index(cols, r * r, len(A) * len(S)),
                     np.zeros((r * r, len(A), len(S))))
     return SufficientStats(
         home_precision=_precision(np.matmul, W, support_rows(A, S, cols), ridges[0]),
@@ -427,7 +440,9 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
                _fit_trace_bounds(W, (j, k), (H, A, S), fresh, caps, lams)]
 
     ridges = _ridges(lams, active)
-    V, U = (np.zeros((len(configs) * size, len(A), len(S))) for size in (R * R, R))
+    sizes = (len(configs) * R * R, len(configs) * R)   # the rows of V and of U
+    V, U = (np.zeros((K, len(A), len(S))) for K in sizes)
+    flat_v, flat_u = (_column_index(cols, K, len(A) * len(S)) for K in sizes)
     Z = A[j] * S[k]
     traces = [[] for _ in configs]
     results = [None] * len(configs)
@@ -446,8 +461,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
         revived = set()
         H = update(0, _precision(np.matmul, W, Z, ridges[0]), _rhs(np.matmul, XW, Z))
         Ht = np.ascontiguousarray(H.transpose(1, 2, 0))   # also U's H^T
-        V = _over_homes(W, _outer_rows_t(Ht), cols, V)
-        U = _over_homes(XW, Ht.reshape(-1, len(H)), cols, U)
+        V = _over_homes(W, _outer_rows_t(Ht), flat_v, V)
+        U = _over_homes(XW, Ht.reshape(-1, len(H)), flat_u, U)
         A = update(1, _precision(_over_months, V, S, ridges[1]), _rhs(_over_months, U, S))
         sp, sr = _precision(_over_appliances, V, A, ridges[2]), _rhs(_over_appliances, U, A)
         # in place: a new array would change sr's layout, and with it the

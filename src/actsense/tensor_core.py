@@ -230,13 +230,22 @@ def masked_readings(tensor: EnergyTensor, omega: ObservationSet):
     any contraction with the mask.  A mask whose shape differs from the
     tensor's, or that holds a cell with no ground truth, raises
     ValueError.
+
+    Layout: ``W`` and ``XW`` are the ``.T`` views of C-contiguous
+    (len(cols), M) arrays, built so here rather than left to numpy's
+    fancy-indexing layout.  The objective's residual is built in that
+    (C, M) layout, so its products with them run contiguous, and the
+    BLAS products with ``W``/``XW`` see the same strides on every numpy
+    (their bits depend on the operand's order).
     """
     omega.check_observed(tensor)
     M = tensor.num_homes
-    W = omega.mask.reshape(M, -1)
-    cols = np.flatnonzero(W.any(axis=0))
-    W = W[:, cols].astype(float)
-    return W, tensor.readings.reshape(M, -1)[:, cols] * W, cols
+    mask_t = omega.mask.reshape(M, -1).T
+    cols = np.flatnonzero(mask_t.any(axis=1))
+    Wt = np.ascontiguousarray(mask_t[cols], dtype=float)
+    XWt = np.ascontiguousarray(tensor.readings.reshape(M, -1).T[cols])
+    XWt *= Wt
+    return Wt.T, XWt.T, cols
 
 
 def support_rows(A, S, cols) -> np.ndarray:
@@ -252,14 +261,18 @@ def masked_losses(W, XW, Z, H, A, S, config: ModelConfig,
     columns ``W, XW`` of :func:`masked_readings` and
     ``Z = support_rows(A, S, cols)``.  The members share the lambdas of
     ``config``; zero padding columns add nothing.  A missing prior is a
-    zero prior on the same path: zeros in that member's ``season_prior``."""
-    resid = np.matmul(H.transpose(1, 0, 2), Z.transpose(1, 2, 0))  # (B, M, C)
-    resid *= W
-    resid -= XW
-    resid = resid.reshape(len(resid), -1)
-    # in S's own layout: a C-ordered result would change the einsum's summation order
-    s_term = np.subtract(S, season_prior, out=np.empty_like(S))
-    return (np.einsum("bi,bi->b", resid, resid)
-            + config.lambda1 * np.einsum("nbr,nbr->b", H, H)
-            + config.lambda2 * np.einsum("nbr,nbr->b", A, A)
-            + config.lambda3 * np.einsum("nbr,nbr->b", s_term, s_term))
+    zero prior on the same path: zeros in that member's ``season_prior``.
+
+    The residual is (B, C, M), in the layout of ``W.T`` and ``XW.T``
+    (C-contiguous, see :func:`masked_readings`), so masking it and
+    subtracting the readings are contiguous passes; each member's sum of
+    squares is one r @ r^T over its flattened residual."""
+    resid = np.matmul(Z.transpose(1, 0, 2), H.transpose(1, 2, 0))  # (B, C, M)
+    resid *= W.T
+    resid -= XW.T
+    flat = resid.reshape(len(resid), 1, -1)
+    # each ridge term lambda |F|^2 as |sqrt(lambda) F|^2, all three in one reduction
+    ridged = np.concatenate([H * config.lambda1 ** 0.5, A * config.lambda2 ** 0.5,
+                             (S - season_prior) * config.lambda3 ** 0.5])
+    return (np.matmul(flat, flat.transpose(0, 2, 1)).reshape(-1)
+            + np.einsum("nbr,nbr->b", ridged, ridged))

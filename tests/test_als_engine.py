@@ -53,9 +53,12 @@ def sweep_stats(tensor, omega, factors, lams):
     W, XW, cols = masked_readings(tensor, omega)
     r, Z = factors.rank, support_rows(A, S, cols)
     Ht = np.ascontiguousarray(H.transpose(1, 2, 0))
-    V = als_engine._over_homes(W, als_engine._outer_rows_t(Ht), cols,
+    NT = len(A) * len(S)
+    V = als_engine._over_homes(W, als_engine._outer_rows_t(Ht),
+                               als_engine._column_index(cols, r * r, NT),
                                np.zeros((r * r, len(A), len(S))))
-    U = als_engine._over_homes(XW, np.ascontiguousarray(H[:, 0, :].T), cols,
+    U = als_engine._over_homes(XW, np.ascontiguousarray(H[:, 0, :].T),
+                               als_engine._column_index(cols, r, NT),
                                np.zeros((r, len(A), len(S))))
     out = []
     for contract, X, Y, F, ridge in ((np.matmul, W, XW, Z, ridges[0]),
@@ -729,6 +732,85 @@ def test_fit_trace_bounds_by_hand():
                       1.0 + 3 * 4.25 * 5.0 / 4.0]
     assert als_engine._fit_trace_bounds(W, split, stacks, fresh, caps,
                                         (0.0, 0.5, 4.0))[0] == np.inf
+
+
+def _written_out_losses(W, XW, Z, H, A, S, config, season_prior):
+    """masked_losses' objective written out: a (B, M, C) residual reduced
+    by einsum, and each ridge term as lambda * |F|^2.  The same sums in
+    another layout and summation order."""
+    resid = np.matmul(H.transpose(1, 0, 2), Z.transpose(1, 2, 0))  # (B, M, C)
+    resid *= W
+    resid -= XW
+    resid = resid.reshape(len(resid), -1)
+    s_term = np.subtract(S, season_prior, out=np.empty_like(S))
+    return (np.einsum("bi,bi->b", resid, resid)
+            + config.lambda1 * np.einsum("nbr,nbr->b", H, H)
+            + config.lambda2 * np.einsum("nbr,nbr->b", A, A)
+            + config.lambda3 * np.einsum("nbr,nbr->b", s_term, s_term))
+
+
+@pytest.mark.parametrize("ranks", [(3,), (1, 2, 3, 4, 2)], ids=["B1", "B5"])
+@pytest.mark.parametrize("kind", ["empty", "one_column", "sparse", "full"])
+@pytest.mark.parametrize("with_prior", [False, True], ids=["zero_prior", "prior"])
+def test_masked_losses_match_the_written_out_residual(ranks, kind, with_prior):
+    tensor, omega, _, lams = oracle_case(kind, 2)
+    rng = np.random.default_rng(len(ranks))
+    R = max(ranks) + 1   # every member padded by at least one zero column
+    M, N, T = tensor.readings.shape
+    H, A, S, prior = (als_engine._stack([rng.random((n, r)) for r in ranks], R)
+                      for n in (M, N, T, T))
+    if not with_prior:
+        prior[:] = 0.0
+    cfg = ModelConfig(lambda1=lams[0], lambda2=lams[1], lambda3=lams[2])
+    W, XW, cols = masked_readings(tensor, omega)
+    assert (len(cols) == 0) == (kind == "empty")
+    Z = support_rows(A, S, cols)
+    got = masked_losses(W, XW, Z, H, A, S, cfg, prior)
+    assert got.shape == (len(ranks),)
+    np.testing.assert_allclose(got, _written_out_losses(W, XW, Z, H, A, S, cfg, prior),
+                               rtol=1e-13)
+
+
+def test_objective_never_feeds_the_factors(monkeypatch):
+    # the objective feeds only the convergence test and the trace: with the
+    # written-out objective in its place, every factor bit, sweep count and
+    # verdict stays, and the traces agree to rounding
+    tensor, omega = _committee_instance()
+    configs = _committee_configs()
+    T = tensor.num_months
+    prior = np.linspace(0.5, 2.0, 2 * T).reshape(T, 2)
+
+    def both():
+        return ([fit(tensor, omega, configs[1], season_prior=prior),
+                 fit(tensor, omega, replace(configs[1], tol=1e-6, max_sweeps=100))],
+                fit_committee(tensor, omega, configs))
+
+    want_fits, want_committee = both()
+    calls = []
+
+    def written_out(*args):
+        calls.append(1)
+        return _written_out_losses(*args)
+
+    monkeypatch.setattr(als_engine, "masked_losses", written_out)
+    got_fits, got_committee = both()
+    monkeypatch.undo()
+    assert len(calls) == sum(report.sweeps_run for _, _, report in want_fits) + max(
+        report.sweeps_run for _, report in want_committee)
+    pairs = [((f, r), (g, q)) for (f, _, r), (g, _, q) in zip(want_fits, got_fits)]
+    pairs += list(zip(want_committee, got_committee))
+    for (want, want_report), (got, got_report) in pairs:
+        for name in "HAS":
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got_report.sweeps_run == want_report.sweeps_run
+        assert got_report.converged == want_report.converged
+        np.testing.assert_allclose(got_report.objective_trace,
+                                   want_report.objective_trace, rtol=1e-13)
+    for (_, want_stats, _), (_, got_stats, _) in zip(want_fits, got_fits):
+        assert np.array_equal(got_stats.home_precision, want_stats.home_precision)
+        assert np.array_equal(got_stats.app_precision, want_stats.app_precision)
+    # of the two fits, one stops on tol and one runs to its cap
+    assert [report.converged for _, _, report in want_fits] == [True, False]
 
 
 class TestFitCommittee:

@@ -4,7 +4,7 @@ import pytest
 from actsense import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
                       accumulate_stats, fit, masked_objective, resolve_caps)
 from actsense.als_engine import init_factors
-from actsense.tensor_core import khatri_rao
+from actsense.tensor_core import khatri_rao, masked_readings
 
 
 def cell(h, a, s):
@@ -149,6 +149,27 @@ class TestMaskedObjective:
         with_zero = masked_objective(tiny_tensor, tiny_omega, f, cfg,
                                      season_prior=np.zeros((3, 2)))
         assert plain == pytest.approx(with_zero, rel=1e-12)
+
+
+class TestMaskedReadings:
+    @pytest.mark.parametrize("coverage", [0.0, 0.3, 1.0])
+    def test_layout_contract(self, coverage):
+        # W and XW are the .T views of C-contiguous (C, M) arrays, whatever
+        # layout numpy's fancy indexing would give, and hold the plain gathers
+        rng = np.random.default_rng(7)
+        M, N, T = 6, 4, 5
+        readings = rng.uniform(0.0, 50.0, size=(M, N, T))
+        tensor = EnergyTensor(readings=readings, mask=np.ones((M, N, T), dtype=bool),
+                              appliance_names=tuple(f"a{j}" for j in range(N)))
+        mask = rng.random((M, N, T)) < coverage
+        W, XW, cols = masked_readings(tensor, ObservationSet(mask))
+        flat = mask.reshape(M, -1)
+        assert np.array_equal(cols, np.flatnonzero(flat.any(axis=0)))
+        assert W.shape == XW.shape == (M, len(cols))
+        assert W.dtype == XW.dtype == np.float64
+        assert W.T.flags.c_contiguous and XW.T.flags.c_contiguous
+        assert np.array_equal(W, flat[:, cols].astype(float))
+        assert np.array_equal(XW, readings.reshape(M, -1)[:, cols] * flat[:, cols])
 
 
 class TestEnergyTensor:

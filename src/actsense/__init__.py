@@ -15,7 +15,8 @@ from .errors import DataFormatError, NumericalError
 from .evaluation import (FoldSplit, GridSpec, grid_search, kfold_split,
                          mean_rmse, relative_improvement,
                          rmse_appliance_month, year_rmse)
-from .simulator import SimReport, SimState, reveal, run, run_with_state, step_month
+from .simulator import (SimReport, SimState, reveal, run, run_all, run_with_state,
+                        step_month)
 from .strategies import (CandidatePool, SelectionResult, select_actsense,
                          select_qbc, select_random)
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig,
@@ -39,7 +40,7 @@ __all__ = [
     "instant_score", "integrated_uncertainty", "invert_stats",
     "kfold_split", "load_csv", "masked_objective", "mean_rmse",
     "read_report", "relative_improvement", "resolve_caps",
-    "reveal", "rmse_appliance_month", "run", "run_with_state", "save_csv",
+    "reveal", "rmse_appliance_month", "run", "run_all", "run_with_state", "save_csv",
     "select_actsense", "select_qbc", "select_random",
     "sherman_morrison_update", "step_month", "triangle_weight",
     "write_report", "year_rmse",

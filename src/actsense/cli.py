@@ -14,17 +14,18 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import itertools
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import data_io, evaluation, simulator
 from .errors import DataFormatError, NumericalError
-from .evaluation import GridSpec, kfold_split, map_tasks, relative_improvement
+from .evaluation import GridSpec, kfold_split, relative_improvement
 from .strategies import STRATEGY_NAMES, committee_configs
 from .tensor_core import ModelConfig
 from .uncertainty import MODES, ConfidenceParams, KernelConfig
@@ -71,6 +72,13 @@ def _one_of(choices):
         return text
     parse.__name__, parse.metavar = "name", "{" + ",".join(choices) + "}"
     return parse
+
+
+def _jobs(text) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _yes_no(text) -> bool:
@@ -217,7 +225,7 @@ class CliConfig:
                            max_sweeps=self.max_sweeps, tol=self.tol, seed=self.seed)
 
     def run_kwargs(self) -> dict:
-        """Keyword arguments of ``simulator.run``/``run_with_state``."""
+        """Keyword arguments of ``simulator.run_with_state``."""
         return dict(
             L=self.L, T=self.T, model_config=self.model_config(), seed=self.seed,
             confidence=ConfidenceParams(alpha_home=self.alpha_home,
@@ -234,6 +242,16 @@ def _load_data(args, cfg: CliConfig):
     if cfg.T > tensor.num_months:
         raise UsageError(f"--T {cfg.T} exceeds the {tensor.num_months} months in the data")
     return tensor, manifest
+
+
+def _run_all(tensor, runs, jobs):
+    """``simulator.run_all``'s (report, state) pairs; the first run that
+    failed raises its error."""
+    results = simulator.run_all(tensor, runs, jobs)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _write_csv(path, fieldnames, rows) -> None:
@@ -280,15 +298,6 @@ def cmd_generate(args) -> int:
 # simulate
 
 
-def _simulate_fold(payload):
-    """(report, fitted season factors of the last month) of one fold."""
-    (tensor, split, cfg, extra, season_prior) = payload
-    report, state = simulator.run_with_state(
-        tensor, split, cfg.strategy, season_prior=season_prior,
-        extra_config=extra, **cfg.run_kwargs())
-    return report, state.factors.S
-
-
 def cmd_simulate(args) -> int:
     cfg = CliConfig.resolve(args)
     fold_ids = [args.fold] if args.fold is not None else list(range(cfg.folds))
@@ -303,13 +312,12 @@ def cmd_simulate(args) -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    payloads = []
-    for f in fold_ids:
-        extra = {"data": str(args.data), "checksum": manifest.checksum,
-                 "fold": f, "folds": cfg.folds}
-        payloads.append((tensor, splits[f], cfg, extra, season_prior))
-
-    results = map_tasks(_simulate_fold, payloads, args.jobs)
+    runs = [(splits[f], cfg.strategy,
+             {**cfg.run_kwargs(), "season_prior": season_prior,
+              "extra_config": {"data": str(args.data), "checksum": manifest.checksum,
+                               "fold": f, "folds": cfg.folds}})
+            for f in fold_ids]
+    results = _run_all(tensor, runs, args.jobs)
 
     label = _report_label({"strategy": cfg.strategy, "uncertainty_mode": cfg.mode})
     for f, (report, _) in zip(fold_ids, results):
@@ -318,7 +326,7 @@ def cmd_simulate(args) -> int:
         print(f"fold {f}: year RMSE {report.year_rmse:.4f} -> {path}")
 
     if args.save_season:
-        np.savetxt(args.save_season, results[0][1], delimiter=",")
+        np.savetxt(args.save_season, results[0][1].factors.S, delimiter=",")
         print(f"wrote fitted season factors of fold {fold_ids[0]} -> "
               f"{args.save_season}")
     return 0
@@ -390,14 +398,6 @@ def cmd_compare(args) -> int:
 # sweep
 
 
-def _sweep_one(payload):
-    (tensor, split, cfg, strategy, fold, seed) = payload
-    report = simulator.run(tensor, split, strategy,
-                           **{**cfg.run_kwargs(), "seed": seed})
-    return {"strategy": strategy, "L": cfg.L, "fold": fold, "seed": seed,
-            "year_rmse": report.year_rmse}
-
-
 _SWEEP_STRATEGIES = ("actsense", "random")
 
 
@@ -414,16 +414,16 @@ def cmd_sweep(args) -> int:
         _checked_seed(seed, "--seeds entry")
     tensor, _ = _load_data(args, cfg)
 
-    payloads = []
-    for seed in args.seeds or [cfg.seed]:
-        splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
-                             val_fraction=cfg.val_fraction, seed=seed)
-        for strategy in strategies:
-            for L in args.L_list:
-                for fold in range(cfg.folds):
-                    payloads.append((tensor, splits[fold], replace(cfg, L=L),
-                                     strategy, fold, seed))
-    rows = map_tasks(_sweep_one, payloads, args.jobs)
+    seeds = args.seeds or [cfg.seed]
+    splits = {seed: kfold_split(range(tensor.num_homes), k=cfg.folds,
+                                val_fraction=cfg.val_fraction, seed=seed) for seed in seeds}
+    keys = list(itertools.product(seeds, strategies, args.L_list, range(cfg.folds)))
+    runs = [(splits[seed][fold], strategy, {**cfg.run_kwargs(), "L": L, "seed": seed})
+            for seed, strategy, L, fold in keys]
+    rows = [{"strategy": strategy, "L": L, "fold": fold, "seed": seed,
+             "year_rmse": report.year_rmse}
+            for (seed, strategy, L, fold), (report, _) in
+            zip(keys, _run_all(tensor, runs, args.jobs))]
 
     _write_csv(args.output, ["strategy", "L", "fold", "seed", "year_rmse"], rows)
     print(f"wrote {len(rows)} sweep rows -> {args.output}")
@@ -520,7 +520,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key=value config file")
         _option(p, "rank", "lambda", "sigma", "horizon", "alpha", "T", "folds",
                 "seed", "mode", "committee", "min_coverage", "max_sweeps", "tol")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs, default=1)
 
     sim = sub.add_parser("simulate", help="run the monthly deployment loop")
     sim.add_argument("--data", required=True)
@@ -575,7 +575,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    logging.basicConfig(level=logging.WARNING, format=simulator.LOG_FORMAT)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

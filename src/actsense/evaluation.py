@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError
 from .tensor_core import EnergyTensor, ModelConfig, derived_seed
 
 log = logging.getLogger(__name__)
@@ -145,29 +143,16 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
     return folds
 
 
-def map_tasks(fn, tasks, jobs: int = 1) -> list:
-    """``[fn(task) for task in tasks]``, in order, over ``jobs`` worker
-    processes when jobs > 1.
-
-    ``fn`` and the tasks cross a process boundary, so ``fn`` must be a
-    top-level function and every task picklable.  The pool uses the
-    platform's default start method; forked workers inherit the parent's
-    logging level.
-    """
-    if jobs <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
                 base_config: ModelConfig, T: int = 12, seed: int = 0,
                 jobs: int = 1, **run_kwargs):
     """Evaluate every grid point on every fold; pick the point with the
     lowest fold-averaged validation Year RMSE.
 
-    ``run_kwargs`` go to every ``simulator.run`` call; each grid point sets
-    the budget, the rank, the ridge weights and ``sigma_window`` itself.
+    ``run_kwargs`` go to every ``simulator.run_with_state`` call, which
+    ``simulator.run_all`` makes over ``jobs`` worker processes; each grid
+    point sets the budget, the rank, the ridge weights and ``sigma_window``
+    itself.
 
     Returns (best, rows): ``best`` is the winning point as a dict (None
     when every point failed), ``rows`` one dict per (point, fold) with
@@ -177,16 +162,25 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
     ``seed`` and the fold index only, so different strategies and grid
     points see identical reveal randomness.
     """
-    packed = [(tensor, base_config, strategy, T, seed, run_kwargs,
-               (p_idx, rank, lam, sigma, L, f_idx, split))
-              for p_idx, (rank, lam, sigma, L) in enumerate(grid.points())
-              for f_idx, split in enumerate(splits)]
-    results = map_tasks(_run_grid_task, packed, jobs)
+    from . import simulator
 
     points = grid.points()
+    runs = [(split, strategy,
+             {**run_kwargs, "L": int(L), "T": T, "seed": derived_seed(seed, f_idx),
+              "model_config": replace(base_config, rank=int(rank), lambda1=float(lam),
+                                      lambda2=float(lam), lambda3=float(lam)),
+              "kernel_config_kwargs": {**run_kwargs.get("kernel_config_kwargs", {}),
+                                       "sigma_window": int(sigma)}})
+            for rank, lam, sigma, L in points for f_idx, split in enumerate(splits)]
     rows = []
     val_scores = {}
-    for (p_idx, f_idx, val_yr, test_yr, error) in results:
+    for n, result in enumerate(simulator.run_all(tensor, runs, jobs)):
+        p_idx, f_idx = divmod(n, len(splits))
+        if isinstance(result, Exception):
+            log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, result)
+            val_yr, test_yr, error = float("nan"), float("nan"), str(result)
+        else:
+            val_yr, test_yr, error = result[0].val_year_rmse, result[0].year_rmse, None
         rank, lam, sigma, L = points[p_idx]
         rows.append({"strategy": strategy, "rank": rank, "lambda": lam,
                      "sigma": sigma, "L": L, "fold": f_idx,
@@ -204,23 +198,3 @@ def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
     return {"strategy": strategy, "rank": rank, "lambda": lam, "sigma": sigma,
             "L": L, "year_rmse_val": means[p_best]}, rows
 
-
-def _run_grid_task(packed):
-    """One (grid point, fold) simulation; top level so that it can cross a
-    process boundary."""
-    (tensor, base_config, strategy, T, seed, run_kwargs, task) = packed
-    from . import simulator
-
-    p_idx, rank, lam, sigma, L, f_idx, split = task
-    cfg = replace(base_config, rank=int(rank), lambda1=float(lam),
-                  lambda2=float(lam), lambda3=float(lam))
-    kernel = {**run_kwargs.get("kernel_config_kwargs", {}), "sigma_window": int(sigma)}
-    try:
-        report = simulator.run(
-            tensor, split, strategy, L=int(L), T=T, model_config=cfg,
-            seed=derived_seed(seed, f_idx),
-            **{**run_kwargs, "kernel_config_kwargs": kernel})
-        return (p_idx, f_idx, report.val_year_rmse, report.year_rmse, None)
-    except (NumericalError, ValueError) as exc:
-        log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, exc)
-        return (p_idx, f_idx, float("nan"), float("nan"), str(exc))

@@ -12,7 +12,9 @@ freshly selected pairs only start arriving the following month.
 
 from __future__ import annotations
 
+import itertools
 import logging
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 import json
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import als_engine, strategies, uncertainty
 from .als_engine import SufficientStats
+from .errors import NumericalError
 from .evaluation import FoldSplit, mean_rmse, rmse_appliance_month, year_rmse
 from .strategies import CandidatePool
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationSet,
@@ -27,6 +30,9 @@ from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig, ObservationS
 from .uncertainty import ConfidenceParams, KernelConfig
 
 log = logging.getLogger(__name__)
+
+# the format of the package's log lines, in the CLI and in run_all's workers
+LOG_FORMAT = "%(levelname)s %(message)s"
 
 
 @dataclass(frozen=True)
@@ -240,3 +246,36 @@ def run_with_state(tensor: EnergyTensor, split: FoldSplit, strategy: str,
         val_year_rmse=val_year,
     )
     return report, state
+
+
+def run_all(tensor: EnergyTensor, runs, jobs: int = 1) -> list:
+    """``run_with_state(tensor, split, strategy, **kwargs)`` for each
+    ``(split, strategy, kwargs)`` of ``runs``, in order: its (report, state),
+    or the NumericalError or ValueError it raised; other errors propagate.
+    Runs go to ``min(jobs, len(runs))`` worker processes when that exceeds
+    1, so the tensor and the runs must pickle.  ``run_with_state`` is looked
+    up at call time, so a replacement of it is seen (by forked workers too).
+    """
+    runs = list(runs)
+    workers = min(jobs, len(runs))
+    if workers <= 1:
+        return [_run_one(tensor, spec) for spec in runs]
+    level = logging.getLogger("actsense").getEffectiveLevel()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(level,)) as pool:
+        return list(pool.map(_run_one, itertools.repeat(tensor), runs))
+
+
+def _run_one(tensor, spec):
+    split, strategy, kwargs = spec
+    try:
+        return run_with_state(tensor, split, strategy, **kwargs)
+    except (NumericalError, ValueError) as exc:
+        return exc
+
+
+def _init_worker(level: int) -> None:
+    """Log as the parent does: a spawned or forkserver worker starts with
+    no handler and the default level."""
+    logging.basicConfig(format=LOG_FORMAT)
+    logging.getLogger("actsense").setLevel(level)

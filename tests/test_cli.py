@@ -1,11 +1,16 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actsense
 from actsense import ConfidenceParams, ModelConfig, data_io, kfold_split, simulator
 from actsense.cli import main
 from actsense.errors import NumericalError
@@ -205,6 +210,27 @@ class TestLogLevel:
         assert all("max_sweeps=1 " in line for line in lines)
         assert package_log.level == before
 
+    def test_spawned_workers_log_at_the_level_given(self, dataset, tmp_path):
+        # spawn is the default start method on macOS; a spawned worker does
+        # not inherit the parent's logging set-up
+        script = ("import multiprocessing, sys\n"
+                  "from actsense.cli import main\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(actsense.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["--log-level", "INFO", "sweep", "--data", str(dataset),
+                "--strategies", "random", "--L", "1", "--T", "2", "--folds", "2",
+                "--lambda", "100", "--max-sweeps", "1", "--jobs", "2",
+                "-o", str(tmp_path / "sweep.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = [line for line in done.stderr.splitlines() if "max_sweeps=1 " in line]
+        assert len(lines) == 4  # 2 folds x 2 months, one fit each
+        assert all(line.startswith("INFO ") for line in lines)
+
     def test_unknown_level_is_usage_error(self, dataset, tmp_path):
         assert main(["--log-level", "LOUD", *_sim_args(dataset, tmp_path / "o")]) == 1
 
@@ -354,7 +380,7 @@ class TestGridsearch:
         def failing_run(*args, **kwargs):
             raise NumericalError("precision matrix condition 1e+13 exceeds 1e+12")
 
-        monkeypatch.setattr(simulator, "run", failing_run)
+        monkeypatch.setattr(simulator, "run_with_state", failing_run)
         table = tmp_path / "grid.csv"
         rc = main(["gridsearch", "--data", str(dataset), "--strategy", "random",
                    "--ranks", "1,2", "--lambdas", "100", "--sigmas", "2",
@@ -369,14 +395,14 @@ class TestGridsearch:
 
     def test_horizon_reaches_the_simulations(self, dataset, tmp_path, monkeypatch):
         from actsense import simulator
-        real_run = simulator.run
+        real_run = simulator.run_with_state
         seen = []
 
         def recording_run(*args, **kwargs):
             seen.append(kwargs["kernel_config_kwargs"].get("horizon"))
             return real_run(*args, **kwargs)
 
-        monkeypatch.setattr("actsense.simulator.run", recording_run)
+        monkeypatch.setattr("actsense.simulator.run_with_state", recording_run)
         argv = ["gridsearch", "--data", str(dataset), "--strategy", "actsense",
                 "--ranks", "2", "--lambdas", "100", "--sigmas", "2",
                 "--L", "1", "--T", "2", "--folds", "2", "--seed", "1",
@@ -388,7 +414,12 @@ class TestGridsearch:
 
     def test_no_validation_homes_is_usage_error(self, dataset, tmp_path, monkeypatch):
         ran = []
-        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: ran.append(1))
+
+        def never_run(*args, **kwargs):
+            ran.append(1)
+            return None, None
+
+        monkeypatch.setattr(simulator, "run_with_state", never_run)
         conf = tmp_path / "run.conf"
         conf.write_text("val_fraction=0\n", encoding="utf-8")
         table = tmp_path / "grid.csv"
@@ -526,9 +557,13 @@ def test_val_fraction_outside_unit_interval_is_usage_error(tmp_path, monkeypatch
     (["simulate", "--min-coverage", "nan"], "0 <= min_coverage <= 1"),
     (["simulate", "--min-coverage", "-1"], "0 <= min_coverage <= 1"),
     (["simulate", "--alpha", "-1"], "alpha_home and alpha_app must be finite and >= 0"),
+    (["simulate", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+    (["sweep", "--L", "1", "--jobs", "-3"], "argument --jobs: must be >= 1, got -3"),
+    (["gridsearch", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
 ], ids=["simulate-fold-past-folds", "simulate-negative-fold", "gridsearch-no-validation",
         "simulate-zero-sigma", "simulate-zero-horizon", "simulate-coverage-past-one",
-        "simulate-nan-coverage", "simulate-negative-coverage", "simulate-negative-alpha"])
+        "simulate-nan-coverage", "simulate-negative-coverage", "simulate-negative-alpha",
+        "simulate-zero-jobs", "sweep-negative-jobs", "gridsearch-zero-jobs"])
 def test_usage_errors_come_before_the_data(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.conf").write_text("val_fraction=0\n", encoding="utf-8")

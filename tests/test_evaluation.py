@@ -5,7 +5,7 @@ from actsense import (EnergyTensor, GridSpec, ModelConfig, NumericalError,
                       SyntheticConfig, generate_synthetic, grid_search,
                       kfold_split, mean_rmse,
                       relative_improvement, rmse_appliance_month, year_rmse)
-from actsense.evaluation import FoldSplit, map_tasks
+from actsense.evaluation import FoldSplit
 
 
 def _truth(values):
@@ -187,7 +187,7 @@ class TestGridSearch:
         tensor, splits, base = world
         grid = GridSpec(ranks=(1, 2), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
         from actsense import simulator
-        real_run = simulator.run
+        real_run = simulator.run_with_state
 
         def flaky_run(t, split, strategy, L, T, model_config, **kw):
             if model_config.rank == 1:
@@ -195,7 +195,7 @@ class TestGridSearch:
             return real_run(t, split, strategy, L=L, T=T,
                             model_config=model_config, **kw)
 
-        monkeypatch.setattr("actsense.simulator.run", flaky_run)
+        monkeypatch.setattr("actsense.simulator.run_with_state", flaky_run)
         best, rows = grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
         assert best["rank"] == 2
         failed = [r for r in rows if r["error"]]
@@ -209,17 +209,7 @@ class TestGridSearch:
         def broken_run(*args, **kwargs):
             raise TypeError("a bug, not a failed grid point")
 
-        monkeypatch.setattr("actsense.simulator.run", broken_run)
+        monkeypatch.setattr("actsense.simulator.run_with_state", broken_run)
         with pytest.raises(TypeError, match="a bug"):
             grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
 
-
-class TestMapTasks:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_results_keep_task_order(self, jobs):
-        assert map_tasks(abs, [-3, 1, -2, 0, -5], jobs) == [3, 1, 2, 0, 5]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_worker_errors_propagate(self, jobs):
-        with pytest.raises(ValueError):
-            map_tasks(int, ["1", "not a number"], jobs)

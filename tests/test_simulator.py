@@ -7,8 +7,8 @@ import pytest
 from actsense import (ConfidenceParams, FoldSplit, KernelConfig, ModelConfig,
                       SyntheticConfig, factor_error_alphas, generate_synthetic,
                       kfold_split, resolve_caps, run, run_with_state, write_report)
-from actsense import als_engine, strategies
-from actsense.simulator import SimState, reveal, step_month
+from actsense import NumericalError, als_engine, simulator, strategies
+from actsense.simulator import SimState, reveal, run_all, step_month
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +236,88 @@ def test_kfold_split_feeds_run(small_world):
     folds = kfold_split(range(tensor.num_homes), k=4, val_fraction=0.25, seed=3)
     rep = run(tensor, folds[0], "random", L=1, T=2, model_config=mc, seed=1)
     assert len(rep.omega_sizes) == 2
+
+
+class TestRunAll:
+    """``run_all``, the runner of every CLI command."""
+
+    @staticmethod
+    def _runs(small_world):
+        _, split, mc = small_world
+        kw = dict(T=3, model_config=mc, committee_ranks=(1, 2),
+                  kernel_config_kwargs={"sigma_window": 3, "horizon": 6})
+        return [(split, strategy, {**kw, "L": L, "seed": seed})
+                for strategy, L, seed in (("actsense", 2, 1), ("random", 1, 2),
+                                          ("qbc", 1, 3))]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_equal_solo_runs_in_run_order(self, small_world, jobs):
+        tensor = small_world[0]
+        runs = self._runs(small_world)
+        results = run_all(tensor, runs, jobs)
+        assert len(results) == len(runs)
+        for (split, strategy, kwargs), (report, state) in zip(runs, results):
+            want_report, want_state = run_with_state(tensor, split, strategy, **kwargs)
+            assert report == want_report
+            for name in ("H", "A", "S"):
+                assert np.array_equal(getattr(state.factors, name),
+                                      getattr(want_state.factors, name))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_value_error_fills_its_slot(self, small_world, jobs):
+        tensor = small_world[0]
+        first, second, _ = self._runs(small_world)
+        past_the_data = (first[0], first[1], {**first[2], "T": 99})
+        results = run_all(tensor, [past_the_data, second], jobs)
+        assert isinstance(results[0], ValueError)
+        assert str(results[0]) == "T must be in [1, 6]"
+        assert results[1][0] == run_with_state(tensor, second[0], second[1],
+                                               **second[2])[0]
+
+    def test_a_numerical_error_fills_its_slot(self, small_world, monkeypatch):
+        tensor = small_world[0]
+        runs = self._runs(small_world)
+        real = simulator.run_with_state
+
+        def failing_random(tensor, split, strategy, **kwargs):
+            if strategy == "random":
+                raise NumericalError("synthetic breakdown")
+            return real(tensor, split, strategy, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_with_state", failing_random)
+        results = run_all(tensor, runs, 1)
+        assert isinstance(results[1], NumericalError)
+        assert [r[0].config_echo["strategy"] for r in (results[0], results[2])] == [
+            "actsense", "qbc"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_other_errors_propagate(self, small_world, jobs):
+        tensor = small_world[0]
+        split, strategy, kwargs = self._runs(small_world)[1]
+        with pytest.raises(TypeError, match="bogus"):
+            run_all(tensor, [(split, strategy, {**kwargs, "bogus": 1})] * 2, jobs)
+
+    def test_workers_never_outnumber_the_runs(self, small_world, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool's size and starts no process."""
+
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+        tensor, runs = small_world[0], self._runs(small_world)
+        assert len(run_all(tensor, runs[:2], jobs=8)) == 2
+        assert len(run_all(tensor, runs[:1], jobs=8)) == 1  # in this process
+        assert len(run_all(tensor, [], jobs=8)) == 0
+        assert sizes == [2]

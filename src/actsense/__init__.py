@@ -12,9 +12,8 @@ from .als_engine import (FitReport, SufficientStats, accumulate_stats, fit,
 from .data_io import (DatasetManifest, SyntheticConfig, generate_synthetic,
                       load_csv, read_report, save_csv, write_report)
 from .errors import DataFormatError, NumericalError
-from .evaluation import (FoldSplit, GridSpec, grid_search, kfold_split,
-                         mean_rmse, relative_improvement,
-                         rmse_appliance_month, year_rmse)
+from .evaluation import (FoldSplit, GridSpec, kfold_split, mean_rmse,
+                         relative_improvement, rmse_appliance_month, year_rmse)
 from .simulator import (SimReport, SimState, reveal, run, run_all, run_with_state,
                         step_month)
 from .strategies import (CandidatePool, SelectionResult, select_actsense,
@@ -36,7 +35,7 @@ __all__ = [
     "KernelConfig", "LatentFactors", "ModelConfig", "NumericalError",
     "ObservationSet", "SelectionResult", "SimReport", "SimState",
     "SufficientStats", "SyntheticConfig", "accumulate_stats",
-    "factor_error_alphas", "fit", "generate_synthetic", "grid_search",
+    "factor_error_alphas", "fit", "generate_synthetic",
     "instant_score", "integrated_uncertainty", "invert_stats",
     "kfold_split", "load_csv", "masked_objective", "mean_rmse",
     "read_report", "relative_improvement", "resolve_caps",

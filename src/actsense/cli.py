@@ -18,17 +18,19 @@ import itertools
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import data_io, evaluation, simulator
+from . import data_io, simulator
 from .errors import DataFormatError, NumericalError
 from .evaluation import GridSpec, kfold_split, relative_improvement
 from .strategies import STRATEGY_NAMES, committee_configs
 from .tensor_core import ModelConfig
 from .uncertainty import MODES, ConfidenceParams, KernelConfig
+
+log = logging.getLogger(__name__)
+
 
 class UsageError(Exception):
     """Bad flag values or config keys; maps to exit code 1."""
@@ -154,93 +156,68 @@ def _parse_config_file(path) -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Fully resolved run options (flags > config file > defaults)."""
+def _resolve(args, strategies=None) -> dict:
+    """The run options of ``args`` (flags > config file > defaults), with
+    unset lambda1..3 and alpha_home/alpha_app filled from lambda and alpha,
+    which are dropped; an out-of-range value is a usage error.
 
-    strategy: str
-    rank: int
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    sigma: int
-    horizon: int
-    alpha_home: float
-    alpha_app: float
-    L: int
-    T: int
-    folds: int
-    val_fraction: float
-    seed: int
-    mode: str
-    committee: tuple
-    min_coverage: float
-    max_sweeps: int
-    tol: float
-    sequential: bool
-
-    @classmethod
-    def resolve(cls, args, strategies=None) -> "CliConfig":
-        """The options of ``args``; an out-of-range value is a usage error.
-
-        ``strategies`` are the strategies the command runs (by default the
-        resolved ``strategy``): the committee is checked only when QBC is
-        among them.
-        """
-        merged = {key: default for key, (_, default) in _OPTIONS.items()}
-        if getattr(args, "config", None):
-            merged.update(_parse_config_file(args.config))
-        merged.update({key: getattr(args, key) for key in _OPTIONS
-                       if getattr(args, key, None) is not None})
-        if merged["seed"] is None:
-            merged["seed"] = _env_seed()
-        _checked_seed(merged["seed"], "seed")
-        lam, alpha = merged.pop("lambda"), merged.pop("alpha")
-        for key in ("lambda1", "lambda2", "lambda3"):
-            merged[key] = lam if merged[key] is None else merged[key]
-        for key in ("alpha_home", "alpha_app"):
-            merged[key] = alpha if merged[key] is None else merged[key]
-        resolved = cls(**merged)
-        if (resolved.L < 0 or resolved.T < 1 or resolved.folds < 2
-                or not 0.0 <= resolved.val_fraction < 1.0
-                or not 0.0 <= resolved.min_coverage <= 1.0):
-            raise UsageError("need L >= 0, T >= 1, folds >= 2, 0 <= val_fraction < 1 "
-                             "and 0 <= min_coverage <= 1")
+    ``strategies`` are the strategies the command runs (by default the
+    resolved ``strategy``): the committee is checked only when QBC is
+    among them.
+    """
+    opts = {key: default for key, (_, default) in _OPTIONS.items()}
+    if getattr(args, "config", None):
+        opts.update(_parse_config_file(args.config))
+    opts.update({key: getattr(args, key) for key in _OPTIONS
+                 if getattr(args, key, None) is not None})
+    if opts["seed"] is None:
+        opts["seed"] = _env_seed()
+    _checked_seed(opts["seed"], "seed")
+    lam, alpha = opts.pop("lambda"), opts.pop("alpha")
+    for key in ("lambda1", "lambda2", "lambda3"):
+        opts[key] = lam if opts[key] is None else opts[key]
+    for key in ("alpha_home", "alpha_app"):
+        opts[key] = alpha if opts[key] is None else opts[key]
+    if (opts["L"] < 0 or opts["T"] < 1 or opts["folds"] < 2
+            or not 0.0 <= opts["val_fraction"] < 1.0
+            or not 0.0 <= opts["min_coverage"] <= 1.0):
+        raise UsageError("need L >= 0, T >= 1, folds >= 2, 0 <= val_fraction < 1 "
+                         "and 0 <= min_coverage <= 1")
+    try:
+        run = _run_kwargs(opts)   # builds the model config and alphas
+        KernelConfig(**run["kernel_config_kwargs"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if "qbc" in (strategies or (opts["strategy"],)):
         try:
-            run = resolved.run_kwargs()   # builds the model config and alphas
-            KernelConfig(**run["kernel_config_kwargs"])
+            committee_configs(run["model_config"], opts["committee"], opts["seed"])
         except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        model = run["model_config"]
-        if "qbc" in (strategies or (resolved.strategy,)):
-            try:
-                committee_configs(model, resolved.committee, resolved.seed)
-            except ValueError as exc:
-                raise UsageError(f"committee {list(resolved.committee)}: {exc}") from None
-        return resolved
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(rank=self.rank, lambda1=self.lambda1,
-                           lambda2=self.lambda2, lambda3=self.lambda3,
-                           max_sweeps=self.max_sweeps, tol=self.tol, seed=self.seed)
-
-    def run_kwargs(self) -> dict:
-        """Keyword arguments of ``simulator.run_with_state``."""
-        return dict(
-            L=self.L, T=self.T, model_config=self.model_config(), seed=self.seed,
-            confidence=ConfidenceParams(alpha_home=self.alpha_home,
-                                        alpha_app=self.alpha_app),
-            kernel_config_kwargs={"sigma_window": self.sigma, "horizon": self.horizon},
-            uncertainty_mode=self.mode, committee_ranks=self.committee,
-            sequential=self.sequential)
+            raise UsageError(f"committee {list(opts['committee'])}: {exc}") from None
+    return opts
 
 
-def _load_data(args, cfg: CliConfig):
+def _run_kwargs(opts) -> dict:
+    """Keyword arguments of ``simulator.run_with_state`` for the resolved
+    ``opts``; the model seed is the run seed."""
+    model = ModelConfig(rank=opts["rank"], lambda1=opts["lambda1"],
+                        lambda2=opts["lambda2"], lambda3=opts["lambda3"],
+                        max_sweeps=opts["max_sweeps"], tol=opts["tol"], seed=opts["seed"])
+    return dict(
+        L=opts["L"], T=opts["T"], model_config=model, seed=opts["seed"],
+        confidence=ConfidenceParams(alpha_home=opts["alpha_home"],
+                                    alpha_app=opts["alpha_app"]),
+        kernel_config_kwargs={"sigma_window": opts["sigma"], "horizon": opts["horizon"]},
+        uncertainty_mode=opts["mode"], committee_ranks=opts["committee"],
+        sequential=opts["sequential"])
+
+
+def _load_data(args, opts):
     """(tensor, manifest) of ``--data``; a ``--T`` past its months is a
     usage error."""
-    tensor, manifest = data_io.load_csv(args.data, min_coverage=cfg.min_coverage)
-    if cfg.T > tensor.num_months:
-        raise UsageError(f"--T {cfg.T} exceeds the {tensor.num_months} months in the data")
+    tensor, manifest = data_io.load_csv(args.data, min_coverage=opts["min_coverage"])
+    if opts["T"] > tensor.num_months:
+        raise UsageError(f"--T {opts['T']} exceeds the {tensor.num_months} months "
+                         "in the data")
     return tensor, manifest
 
 
@@ -299,27 +276,29 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = CliConfig.resolve(args)
-    fold_ids = [args.fold] if args.fold is not None else list(range(cfg.folds))
-    if any(f < 0 or f >= cfg.folds for f in fold_ids):
-        raise UsageError(f"--fold must be in [0, {cfg.folds})")
-    tensor, manifest = _load_data(args, cfg)
-    splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
-                         val_fraction=cfg.val_fraction, seed=cfg.seed)
+    opts = _resolve(args)
+    folds = opts["folds"]
+    fold_ids = [args.fold] if args.fold is not None else list(range(folds))
+    if any(f < 0 or f >= folds for f in fold_ids):
+        raise UsageError(f"--fold must be in [0, {folds})")
+    tensor, manifest = _load_data(args, opts)
+    splits = kfold_split(range(tensor.num_homes), k=folds,
+                         val_fraction=opts["val_fraction"], seed=opts["seed"])
     season_prior = None
     if args.season_prior:
         season_prior = np.loadtxt(args.season_prior, delimiter=",", ndmin=2)
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = [(splits[f], cfg.strategy,
-             {**cfg.run_kwargs(), "season_prior": season_prior,
+    run_kwargs = _run_kwargs(opts)
+    runs = [(splits[f], opts["strategy"],
+             {**run_kwargs, "season_prior": season_prior,
               "extra_config": {"data": str(args.data), "checksum": manifest.checksum,
-                               "fold": f, "folds": cfg.folds}})
+                               "fold": f, "folds": folds}})
             for f in fold_ids]
     results = _run_all(tensor, runs, args.jobs)
 
-    label = _report_label({"strategy": cfg.strategy, "uncertainty_mode": cfg.mode})
+    label = _report_label({"strategy": opts["strategy"], "uncertainty_mode": opts["mode"]})
     for f, (report, _) in zip(fold_ids, results):
         path = outdir / f"report_{label}_fold{f}.json"
         data_io.write_report(report, path)
@@ -406,19 +385,20 @@ def cmd_sweep(args) -> int:
     if strategies is None and not (args.config
                                    and "strategy" in _parse_config_file(args.config)):
         strategies = _SWEEP_STRATEGIES
-    cfg = CliConfig.resolve(args, strategies)
-    strategies = strategies or (cfg.strategy,)
+    opts = _resolve(args, strategies)
+    strategies = strategies or (opts["strategy"],)
     if min(args.L_list) < 0:
         raise UsageError("need L >= 0")
     for seed in args.seeds or ():
         _checked_seed(seed, "--seeds entry")
-    tensor, _ = _load_data(args, cfg)
+    tensor, _ = _load_data(args, opts)
 
-    seeds = args.seeds or [cfg.seed]
-    splits = {seed: kfold_split(range(tensor.num_homes), k=cfg.folds,
-                                val_fraction=cfg.val_fraction, seed=seed) for seed in seeds}
-    keys = list(itertools.product(seeds, strategies, args.L_list, range(cfg.folds)))
-    runs = [(splits[seed][fold], strategy, {**cfg.run_kwargs(), "L": L, "seed": seed})
+    seeds = args.seeds or [opts["seed"]]
+    splits = {seed: kfold_split(range(tensor.num_homes), k=opts["folds"],
+                                val_fraction=opts["val_fraction"], seed=seed)
+              for seed in seeds}
+    keys = list(itertools.product(seeds, strategies, args.L_list, range(opts["folds"])))
+    runs = [(splits[seed][fold], strategy, _run_kwargs({**opts, "L": L, "seed": seed}))
             for seed, strategy, L, fold in keys]
     rows = [{"strategy": strategy, "L": L, "fold": fold, "seed": seed,
              "year_rmse": report.year_rmse}
@@ -446,8 +426,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    cfg = CliConfig.resolve(args)
-    if cfg.val_fraction == 0:  # above 0, kfold_split gives every fold a validation home
+    opts = _resolve(args)
+    if opts["val_fraction"] == 0:  # above 0, kfold_split gives every fold a validation home
         raise UsageError("gridsearch scores grid points on validation homes; "
                          "set val_fraction > 0")
     try:
@@ -455,27 +435,44 @@ def cmd_gridsearch(args) -> int:
                         L_values=args.L_list)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    tensor, _ = _load_data(args, cfg)
-    splits = kfold_split(range(tensor.num_homes), k=cfg.folds,
-                         val_fraction=cfg.val_fraction, seed=cfg.seed)
-    run_kwargs = cfg.run_kwargs()
-    del run_kwargs["L"]  # each grid point sets its own budget
-    best, rows = evaluation.grid_search(
-        tensor, splits, grid, cfg.strategy, run_kwargs.pop("model_config"),
-        jobs=args.jobs, **run_kwargs)
+    tensor, _ = _load_data(args, opts)
+    splits = kfold_split(range(tensor.num_homes), k=opts["folds"],
+                         val_fraction=opts["val_fraction"], seed=opts["seed"])
+    strategy, points, k = opts["strategy"], grid.points(), len(splits)
+    runs = [(split, strategy,
+             _run_kwargs({**opts, "rank": rank, "lambda1": lam, "lambda2": lam,
+                          "lambda3": lam, "sigma": sigma, "L": L}))
+            for rank, lam, sigma, L in points for split in splits]
+    rows = []
+    for n, result in enumerate(simulator.run_all(tensor, runs, args.jobs)):
+        p, f = divmod(n, k)
+        if isinstance(result, Exception):
+            log.warning("grid point %d fold %d failed: %s", p, f, result)
+            val_yr, test_yr, error = float("nan"), float("nan"), str(result)
+        else:
+            val_yr, test_yr, error = result[0].val_year_rmse, result[0].year_rmse, None
+        rank, lam, sigma, L = points[p]
+        rows.append({"strategy": strategy, "rank": rank, "lambda": lam, "sigma": sigma,
+                     "L": L, "fold": f, "year_rmse_val": val_yr,
+                     "year_rmse_test": test_yr, "error": error})
     _write_csv(args.output, ["strategy", "rank", "lambda", "sigma", "L",
                              "fold", "year_rmse_val", "year_rmse_test", "error"], rows)
-    if best is None:
+
+    # a point scores its fold-mean validation RMSE; NaN when a fold failed
+    means = [float(np.mean([row["year_rmse_val"] for row in rows[p * k:(p + 1) * k]]))
+             for p in range(len(points))]
+    scored = [p for p, mean in enumerate(means) if not np.isnan(mean)]
+    if not scored:
         print("every grid point failed; see the table for errors", file=sys.stderr)
         return 2
-    print(f"best: rank={best['rank']} lambda={best['lambda']} "
-          f"sigma={best['sigma']} L={best['L']} "
-          f"(validation year RMSE {best['year_rmse_val']:.4f})")
+    p_best = min(scored, key=means.__getitem__)  # the first point on ties
+    rank, lam, sigma, L = points[p_best]
+    print(f"best: rank={rank} lambda={lam} sigma={sigma} L={L} "
+          f"(validation year RMSE {means[p_best]:.4f})")
     if args.best_out:
         with open(args.best_out, "w", encoding="utf-8") as fh:
-            fh.write(f"strategy={best['strategy']}\nrank={best['rank']}\n"
-                     f"lambda={best['lambda']}\nsigma={best['sigma']}\n"
-                     f"L={best['L']}\n")
+            fh.write(f"strategy={strategy}\nrank={rank}\nlambda={lam}\n"
+                     f"sigma={sigma}\nL={L}\n")
         print(f"wrote winning config -> {args.best_out}")
     return 0
 

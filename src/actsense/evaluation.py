@@ -1,4 +1,4 @@
-"""Accuracy metrics, cross-validation splits and exhaustive grid search.
+"""Accuracy metrics, cross-validation splits and the hyperparameter grid.
 
 RMSE is computed per appliance per month over the held-out test homes;
 Mean RMSE averages the breakdown appliances at one month (the aggregate
@@ -9,14 +9,11 @@ simulated months (12 for a full year).
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import EnergyTensor, ModelConfig, derived_seed
-
-log = logging.getLogger(__name__)
+from .tensor_core import EnergyTensor
 
 
 @dataclass(frozen=True)
@@ -141,60 +138,3 @@ def kfold_split(home_ids, k: int = 5, val_fraction: float = 0.2,
                                validation_homes=tuple(val),
                                test_homes=tuple(test)))
     return folds
-
-
-def grid_search(tensor: EnergyTensor, splits, grid: GridSpec, strategy: str,
-                base_config: ModelConfig, T: int = 12, seed: int = 0,
-                jobs: int = 1, **run_kwargs):
-    """Evaluate every grid point on every fold; pick the point with the
-    lowest fold-averaged validation Year RMSE.
-
-    ``run_kwargs`` go to every ``simulator.run_with_state`` call, which
-    ``simulator.run_all`` makes over ``jobs`` worker processes; each grid
-    point sets the budget, the rank, the ridge weights and ``sigma_window``
-    itself.
-
-    Returns (best, rows): ``best`` is the winning point as a dict (None
-    when every point failed), ``rows`` one dict per (point, fold) with
-    validation and test Year RMSE.  A point whose simulation raises
-    NumericalError or ValueError is recorded with its message in
-    ``error``; any other exception propagates.  Fold seeds derive from
-    ``seed`` and the fold index only, so different strategies and grid
-    points see identical reveal randomness.
-    """
-    from . import simulator
-
-    points = grid.points()
-    runs = [(split, strategy,
-             {**run_kwargs, "L": int(L), "T": T, "seed": derived_seed(seed, f_idx),
-              "model_config": replace(base_config, rank=int(rank), lambda1=float(lam),
-                                      lambda2=float(lam), lambda3=float(lam)),
-              "kernel_config_kwargs": {**run_kwargs.get("kernel_config_kwargs", {}),
-                                       "sigma_window": int(sigma)}})
-            for rank, lam, sigma, L in points for f_idx, split in enumerate(splits)]
-    rows = []
-    val_scores = {}
-    for n, result in enumerate(simulator.run_all(tensor, runs, jobs)):
-        p_idx, f_idx = divmod(n, len(splits))
-        if isinstance(result, Exception):
-            log.warning("grid point %d fold %d failed: %s", p_idx, f_idx, result)
-            val_yr, test_yr, error = float("nan"), float("nan"), str(result)
-        else:
-            val_yr, test_yr, error = result[0].val_year_rmse, result[0].year_rmse, None
-        rank, lam, sigma, L = points[p_idx]
-        rows.append({"strategy": strategy, "rank": rank, "lambda": lam,
-                     "sigma": sigma, "L": L, "fold": f_idx,
-                     "year_rmse_val": val_yr, "year_rmse_test": test_yr,
-                     "error": error})
-        val_scores.setdefault(p_idx, []).append(val_yr)
-
-    means = {p_idx: float(np.asarray(vals, dtype=float).mean())
-             for p_idx, vals in val_scores.items()}
-    scored = [p_idx for p_idx, mean in means.items() if not np.isnan(mean)]
-    if not scored:
-        return None, rows
-    p_best = min(scored, key=means.get)  # the first point on ties
-    rank, lam, sigma, L = points[p_best]
-    return {"strategy": strategy, "rank": rank, "lambda": lam, "sigma": sigma,
-            "L": L, "year_rmse_val": means[p_best]}, rows
-

@@ -13,7 +13,7 @@ sum_d H[i, d] A[j, d] S[k, d], computed a matrix at a time through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,12 @@ def _frozen_array(a, dtype=float):
     out = np.ascontiguousarray(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _rebuilt(obj):
+    """``__reduce__`` through the constructor, so that an unpickled copy
+    (a value that crossed a process pool) is checked and frozen again."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ class EnergyTensor:
         object.__setattr__(self, "readings", readings)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "appliance_names", tuple(self.appliance_names))
+
+    __reduce__ = _rebuilt
 
     @property
     def num_homes(self) -> int:
@@ -88,6 +96,8 @@ class ObservationSet:
             raise ValueError(f"observation mask must be 3-D, got shape {mask.shape}")
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
+
+    __reduce__ = _rebuilt
 
     @classmethod
     def empty(cls, shape) -> "ObservationSet":
@@ -138,6 +148,8 @@ class LatentFactors:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S", S)
+
+    __reduce__ = _rebuilt
 
     def reconstruct(self) -> np.ndarray:
         """Full predicted tensor, shape (M, N, T)."""

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,13 +355,73 @@ class TestGridsearch:
         assert rc == 0
         rows = _rows(table)
         assert len(rows) == 2  # one per fold
-        text = best.read_text()
-        assert "rank=2" in text and "lambda=100.0" in text
+        assert best.read_text() == "strategy=random\nrank=2\nlambda=100.0\nsigma=2\nL=1\n"
         outdir = tmp_path / "after"
         rc = main(["simulate", "--data", str(dataset), "--config", str(best),
                    "--T", "2", "--folds", "2", "--fold", "0", "--seed", "1",
                    "-o", str(outdir)])
         assert rc == 0
+
+    GRID = ["--strategy", "random", "--sigmas", "2", "--L", "1", "--T", "3",
+            "--folds", "2", "--seed", "1", "--max-sweeps", "30"]
+
+    def _search(self, dataset, tmp_path, *axes):
+        """grid.csv's rows and best.conf's text of a search over ``axes``."""
+        table, best = tmp_path / "grid.csv", tmp_path / "best.conf"
+        rc = main(["gridsearch", "--data", str(dataset), *self.GRID, *axes,
+                   "-o", str(table), "--best-out", str(best)])
+        assert rc == 0
+        return _rows(table), best.read_text()
+
+    def test_lowest_fold_mean_validation_rmse_wins(self, dataset, tmp_path, capsys):
+        rows, best = self._search(dataset, tmp_path, "--ranks", "1,2", "--lambdas", "50")
+        means = {rank: np.mean([float(r["year_rmse_val"]) for r in rows
+                                if r["rank"] == rank]) for rank in ("1", "2")}
+        winner = min(means, key=means.get)
+        assert f"rank={winner}\n" in best
+        assert f"(validation year RMSE {means[winner]:.4f})" in capsys.readouterr().out
+
+    def test_winner_does_not_depend_on_grid_order(self, dataset, tmp_path):
+        _, forward = self._search(dataset, tmp_path, "--ranks", "1,2",
+                                  "--lambdas", "50,200")
+        _, reverse = self._search(dataset, tmp_path, "--ranks", "2,1",
+                                  "--lambdas", "200,50")
+        assert forward == reverse
+
+    def test_first_point_wins_a_tie(self, dataset, tmp_path, monkeypatch):
+        def same_scores(*args, **kwargs):
+            return SimpleNamespace(val_year_rmse=1.0, year_rmse=2.0), None
+
+        monkeypatch.setattr(simulator, "run_with_state", same_scores)
+        _, best = self._search(dataset, tmp_path, "--ranks", "2,1", "--lambdas", "50")
+        assert "rank=2\n" in best
+
+    def test_failed_points_are_recorded_not_fatal(self, dataset, tmp_path, monkeypatch,
+                                                   caplog):
+        real_run = simulator.run_with_state
+
+        def flaky_run(tensor, split, strategy, model_config, **kwargs):
+            if model_config.rank == 1:
+                raise NumericalError("synthetic failure")
+            return real_run(tensor, split, strategy, model_config=model_config, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_with_state", flaky_run)
+        rows, best = self._search(dataset, tmp_path, "--ranks", "1,2", "--lambdas", "50")
+        assert "rank=2\n" in best
+        failed = [r for r in rows if r["error"]]
+        assert [(r["rank"], r["error"], r["year_rmse_val"]) for r in failed] == [
+            ("1", "synthetic failure", "nan")] * 2
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("actsense.cli", "WARNING", f"grid point 0 fold {f} failed: synthetic failure")
+            for f in (0, 1)]
+
+    def test_unexpected_errors_propagate(self, dataset, tmp_path, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise TypeError("a bug, not a failed grid point")
+
+        monkeypatch.setattr(simulator, "run_with_state", broken_run)
+        with pytest.raises(TypeError, match="a bug"):
+            self._search(dataset, tmp_path, "--ranks", "2", "--lambdas", "50")
 
     def test_multi_point(self, dataset, tmp_path):
         table = tmp_path / "grid.csv"
@@ -437,6 +498,42 @@ class TestGridsearch:
         assert main(argv + ["-o", str(seq)]) == 0
         assert main(argv + ["--jobs", "2", "-o", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestRowsAreSimulateReports:
+    """A sweep or gridsearch row is the fold report that simulate writes
+    with the same options: every run's model seed is its run seed."""
+
+    OPTIONS = ["--T", "3", "--folds", "2", "--lambda", "100", "--max-sweeps", "30"]
+
+    def _simulate(self, dataset, outdir, *argv):
+        """year RMSE and validation year RMSE of each fold's report."""
+        assert main(["simulate", "--data", str(dataset), *self.OPTIONS, *argv,
+                     "-o", str(outdir)]) == 0
+        reports = [json.loads(p.read_text()) for p in sorted(outdir.glob("*.json"))]
+        return [(r["year_rmse"], r["val_year_rmse"]) for r in reports]
+
+    def test_sweep_rows(self, dataset, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--data", str(dataset), *self.OPTIONS, "--strategies",
+                     "random", "--L", "2", "--seeds", "1,2", "-o", str(out)]) == 0
+        rows = _rows(out)
+        for seed in (1, 2):
+            want = self._simulate(dataset, tmp_path / f"sim{seed}", "--strategy", "random",
+                                  "--L", "2", "--seed", str(seed))
+            assert [float(r["year_rmse"]) for r in rows
+                    if r["seed"] == str(seed)] == [year for year, _ in want]
+
+    def test_gridsearch_rows(self, dataset, tmp_path):
+        table, best = tmp_path / "grid.csv", tmp_path / "best.conf"
+        assert main(["gridsearch", "--data", str(dataset), *self.OPTIONS, "--seed", "1",
+                     "--strategy", "random", "--ranks", "2", "--lambdas", "100",
+                     "--sigmas", "2", "--L", "2", "-o", str(table),
+                     "--best-out", str(best)]) == 0
+        want = self._simulate(dataset, tmp_path / "sim", "--config", str(best),
+                              "--seed", "1")
+        assert [(float(r["year_rmse_test"]), float(r["year_rmse_val"]))
+                for r in _rows(table)] == want
 
 
 class TestQbcCli:
@@ -679,7 +776,8 @@ sequential=yes
     def test_simulate_and_sweep(self, dataset, tmp_path, calls, argv, strategy, seed):
         got_strategy, kwargs = self._run(dataset, tmp_path, calls, seed, *argv)
         assert got_strategy == strategy
-        assert kwargs["model_config"] == self.MODEL  # revivals reseed from seed=5
+        # revivals reseed from the run's seed
+        assert kwargs["model_config"] == replace(self.MODEL, seed=seed)
         assert kwargs["kernel_config_kwargs"] == {"sigma_window": 2, "horizon": 6}
         assert (kwargs["L"], kwargs["seed"]) == (2, seed)
 
@@ -691,8 +789,7 @@ sequential=yes
         assert kwargs["model_config"] == replace(self.MODEL, rank=3, lambda1=9.0,
                                                  lambda2=9.0, lambda3=9.0)
         assert kwargs["kernel_config_kwargs"] == {"sigma_window": 4, "horizon": 6}
-        fold_seed = int(np.random.SeedSequence([5, 0]).generate_state(1)[0])
-        assert (kwargs["L"], kwargs["seed"]) == (1, fold_seed)
+        assert (kwargs["L"], kwargs["seed"]) == (1, 5)
 
     def test_lambda_and_alpha_fill_unset_keys(self, dataset, tmp_path, calls):
         _, kwargs = self._record(dataset, tmp_path, calls,

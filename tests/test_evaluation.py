@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from actsense import (EnergyTensor, GridSpec, ModelConfig, NumericalError,
-                      SyntheticConfig, generate_synthetic, grid_search,
-                      kfold_split, mean_rmse,
+from actsense import (EnergyTensor, GridSpec, kfold_split, mean_rmse,
                       relative_improvement, rmse_appliance_month, year_rmse)
 from actsense.evaluation import FoldSplit
 
@@ -128,17 +126,6 @@ class TestKfold:
             kfold_split(range(10), k=2, val_fraction=val_fraction)
 
 
-@pytest.fixture(scope="module")
-def world():
-    cfg = SyntheticConfig(num_homes=10, num_appliances=3, num_months=4,
-                          true_rank=2, noise_sigma=0.05, seed=30)
-    tensor, _ = generate_synthetic(cfg)
-    splits = kfold_split(range(10), k=2, val_fraction=0.3, seed=2)
-    base = ModelConfig(rank=2, lambda1=50.0, lambda2=50.0, lambda3=50.0,
-                       max_sweeps=40)
-    return tensor, splits, base
-
-
 class TestGridSearch:
     def test_default_grid_has_48_points(self):
         assert len(GridSpec.default().points()) == 48
@@ -154,62 +141,3 @@ class TestGridSearch:
         GridSpec(**axes)  # the lowest allowed values
         with pytest.raises(ValueError, match=f"GridSpec.{axis} must be >="):
             GridSpec(**{**axes, axis: (*axes[axis], bad)})
-
-    def test_single_point_grid(self, world):
-        tensor, splits, base = world
-        grid = GridSpec(ranks=(2,), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
-        best, rows = grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
-        assert best["rank"] == 2 and best["L"] == 1
-        assert len(rows) == 2  # one per fold
-
-    def test_lower_validation_score_wins(self, world):
-        tensor, splits, base = world
-        grid = GridSpec(ranks=(1, 2), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
-        best, rows = grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
-        by_rank = {}
-        for row in rows:
-            by_rank.setdefault(row["rank"], []).append(row["year_rmse_val"])
-        means = {r: np.mean(v) for r, v in by_rank.items()}
-        assert best["rank"] == min(means, key=means.get)
-        assert best["year_rmse_val"] == pytest.approx(min(means.values()))
-
-    def test_result_invariant_to_grid_order(self, world):
-        tensor, splits, base = world
-        fwd = GridSpec(ranks=(1, 2), lambdas=(50.0, 200.0), sigmas=(2,), L_values=(1,))
-        rev = GridSpec(ranks=(2, 1), lambdas=(200.0, 50.0), sigmas=(2,), L_values=(1,))
-        best_f, _ = grid_search(tensor, splits, fwd, "random", base, T=4, seed=1)
-        best_r, _ = grid_search(tensor, splits, rev, "random", base, T=4, seed=1)
-        picked_f = (best_f["rank"], best_f["lambda"])
-        picked_r = (best_r["rank"], best_r["lambda"])
-        assert picked_f == picked_r
-
-    def test_failed_points_recorded_not_fatal(self, world, monkeypatch):
-        tensor, splits, base = world
-        grid = GridSpec(ranks=(1, 2), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
-        from actsense import simulator
-        real_run = simulator.run_with_state
-
-        def flaky_run(t, split, strategy, L, T, model_config, **kw):
-            if model_config.rank == 1:
-                raise NumericalError("synthetic failure")
-            return real_run(t, split, strategy, L=L, T=T,
-                            model_config=model_config, **kw)
-
-        monkeypatch.setattr("actsense.simulator.run_with_state", flaky_run)
-        best, rows = grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
-        assert best["rank"] == 2
-        failed = [r for r in rows if r["error"]]
-        assert len(failed) == 2 and all(r["rank"] == 1 for r in failed)
-        assert all(r["error"] == "synthetic failure" for r in failed)
-
-    def test_unexpected_errors_propagate(self, world, monkeypatch):
-        tensor, splits, base = world
-        grid = GridSpec(ranks=(2,), lambdas=(50.0,), sigmas=(2,), L_values=(1,))
-
-        def broken_run(*args, **kwargs):
-            raise TypeError("a bug, not a failed grid point")
-
-        monkeypatch.setattr("actsense.simulator.run_with_state", broken_run)
-        with pytest.raises(TypeError, match="a bug"):
-            grid_search(tensor, splits, grid, "random", base, T=4, seed=1)
-

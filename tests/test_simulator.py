@@ -297,6 +297,12 @@ class TestRunAll:
         with pytest.raises(TypeError, match="bogus"):
             run_all(tensor, [(split, strategy, {**kwargs, "bogus": 1})] * 2, jobs)
 
+    def test_states_from_workers_stay_frozen(self, small_world):
+        tensor, runs = small_world[0], self._runs(small_world)
+        for _, state in run_all(tensor, runs[:2], jobs=2):
+            assert not state.omega.mask.flags.writeable
+            assert not state.factors.H.flags.writeable
+
     def test_workers_never_outnumber_the_runs(self, small_world, monkeypatch):
         sizes = []
 

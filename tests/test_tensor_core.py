@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -284,6 +287,22 @@ class TestObservationSet:
             accumulate_stats(tiny_tensor, omega, f, cfg)
         with pytest.raises(ValueError):
             masked_objective(tiny_tensor, omega, f, cfg)
+
+
+def test_pickled_copies_stay_frozen(tiny_tensor):
+    # run_all's workers receive the tensor and return states this way
+    values = [tiny_tensor, ObservationSet.empty(tiny_tensor.readings.shape).union([(1, 2, 0)]),
+              LatentFactors(H=np.ones((2, 2)), A=np.eye(2), S=np.ones((3, 2)), rank=2)]
+    for value in values:
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value)
+        for f in fields(value):
+            a, b = getattr(value, f.name), getattr(copy, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b) and b.dtype == a.dtype
+                assert not b.flags.writeable, f"{type(value).__name__}.{f.name}"
+            else:
+                assert a == b
 
 
 class TestModelConfig:

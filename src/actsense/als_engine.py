@@ -472,7 +472,8 @@ def fit_committee(tensor: EnergyTensor, omega: ObservationSet, configs,
 
         # the objective's rows of khatri_rao(A, S) are the next sweep's
         Z = A[j] * S[k]
-        losses = masked_losses(W, XW, Z, H, A, S, base, prior)
+        # H as a view of Ht, so the residual product reads Ht contiguous
+        losses = masked_losses(W, XW, Z, Ht.transpose(2, 0, 1), A, S, base, prior)
         for b, (r, trace) in enumerate(zip(ranks, traces)):
             if results[b] is not None:
                 continue

@@ -4,20 +4,22 @@ CSV schema (long format, UTF-8, LF or CRLF):
 
     home_id,appliance,month,kwh
 
-with ``month`` as YYYY-MM and one row per observed cell.  The aggregate
-pseudo-appliance is never part of the file; ingestion reconstructs it at
-index 0 as the per-(home, month) sum of the listed appliances.  A cell
-absent from the file is treated as never-observable ground truth.
+with ``month`` as YYYY-MM, the months consecutive, and one row per
+observed cell.  The aggregate pseudo-appliance is never part of the file;
+ingestion reconstructs it at index 0 as the per-(home, month) sum of the
+listed appliances.  A cell absent from the file is treated as
+never-observable ground truth.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,11 @@ log = logging.getLogger(__name__)
 AGGREGATE_NAME = "aggregate"
 CSV_HEADER = ["home_id", "appliance", "month", "kwh"]
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+# save_csv's record: three labels quoted by _csv_fields, then repr(kWh),
+# which never needs quoting
+_ROW = "{},{},{},{!r}\n"
+# Records parsed by one step of load_csv and written by one of save_csv
+CHUNK_RECORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -91,15 +98,148 @@ def month_labels(T: int, start: str = "2015-01") -> list:
     return out
 
 
+class _LabelCoder:
+    """One label column's stripped labels, coded as integers in order of
+    first appearance.  Each field as read is stripped and looked up once;
+    ``check`` runs once per distinct stripped label, and ``faulty`` turns
+    True when one fails it."""
+
+    def __init__(self, check=None):
+        self.labels = []          # code -> stripped label
+        self.faulty = False
+        self._check = check
+        self._codes = {}          # stripped label -> code
+        self._fields = {}         # field as read -> code
+
+    def __call__(self, fields) -> np.ndarray:
+        for field in dict.fromkeys(fields):
+            if field not in self._fields:
+                self._fields[field] = self._code(field.strip())
+        return np.fromiter(map(self._fields.__getitem__, fields), np.int64, len(fields))
+
+    def _code(self, label: str) -> int:
+        code = self._codes.get(label)
+        if code is None:
+            code = self._codes[label] = len(self.labels)
+            self.labels.append(label)
+            self.faulty |= self._check is not None and not self._check(label)
+        return code
+
+    def sorted_ranks(self):
+        """(labels in sorted order, each code's position among them)."""
+        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
+        ranks = np.empty(len(order), dtype=np.int64)
+        ranks[order] = np.arange(len(order))
+        return [self.labels[c] for c in order], ranks
+
+
+def _check_record(path, lineno: int, row) -> tuple:
+    """One nonblank record's stripped (home, appliance, month), or the
+    DataFormatError its first failing check raises.  Duplicates are the
+    caller's to find."""
+    if len(row) != 4:
+        raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+    home, appliance, month, kwh_text = (c.strip() for c in row)
+    if appliance == AGGREGATE_NAME:
+        raise DataFormatError(
+            f"{path}:{lineno}: appliance label {AGGREGATE_NAME!r} is reserved")
+    if not _MONTH_RE.match(month):
+        raise DataFormatError(f"{path}:{lineno}: month {month!r} is not YYYY-MM")
+    try:
+        kwh = float(kwh_text)
+    except ValueError:
+        raise DataFormatError(f"{path}:{lineno}: bad kwh value {kwh_text!r}") from None
+    if not np.isfinite(kwh):
+        raise DataFormatError(f"{path}:{lineno}: kwh must be finite")
+    if kwh < 0:
+        raise DataFormatError(f"{path}:{lineno}: negative kwh {kwh}")
+    return home, appliance, month
+
+
+_NO_RECORDS = (*(np.zeros(0, dtype=np.int64),) * 3, np.zeros(0), np.zeros(0, dtype=np.int64))
+
+
+def _coded_chunk(rows, first_lineno: int, coders):
+    """A chunk of records as (home, appliance and month codes, kwh, line
+    numbers), the blank records left out; None when a record fails a check
+    (duplicates aside)."""
+    lengths = set(map(len, rows))
+    lines = np.arange(first_lineno, first_lineno + len(rows))
+    if 0 in lengths:   # blank records count as lines but hold no cell
+        kept = [i for i, row in enumerate(rows) if row]
+        rows, lines = [rows[i] for i in kept], lines[kept]
+        lengths.discard(0)
+    if not rows:
+        return _NO_RECORDS
+    if lengths != {4}:
+        return None
+    *fields, kwh_text = zip(*rows)
+    codes = [coder(column) for coder, column in zip(coders, fields)]
+    try:
+        kwh = np.fromiter(map(float, kwh_text), float, len(kwh_text))
+    except ValueError:
+        return None
+    if any(coder.faulty for coder in coders) or not np.isfinite(kwh).all() \
+            or (kwh < 0).any():
+        return None
+    return (*codes, kwh, lines)
+
+
+def _raise_first_fault(path, coders, columns, rows=(), first_lineno=0):
+    """Raise the error of the first faulty record in file order, if any:
+    a record of the coded ``columns`` (see :func:`_joined`) whose cell an
+    earlier one holds, else the first of ``rows``, the chunk read after
+    them and numbered from ``first_lineno``, that fails a check or repeats
+    an earlier cell."""
+    codes, lines = columns[:3], columns[4]
+    sizes = [len(coder.labels) for coder in coders]
+    pair = codes[0] * sizes[1] + codes[1]
+    if sizes[0] * sizes[1] * sizes[2] >= 2 ** 63:   # renumber the pairs to fit int64
+        pair = np.unique(pair, return_inverse=True)[1]
+    keys = pair * sizes[2] + codes[2]
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        seen = set()
+        for index, key in enumerate(keys.tolist()):
+            if key in seen:
+                cell = "/".join(c.labels[k[index]] for c, k in zip(coders, codes))
+                raise DataFormatError(f"{path}:{lines[index]}: duplicate cell {cell}")
+            seen.add(key)
+    if not rows:
+        return
+    seen = set(zip(*(map(c.labels.__getitem__, k.tolist()) for c, k in zip(coders, codes))))
+    for lineno, row in enumerate(rows, start=first_lineno):
+        if not row:
+            continue
+        cell = _check_record(path, lineno, row)
+        if cell in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate cell {'/'.join(cell)}")
+        seen.add(cell)
+
+
+def _joined(parts) -> list:
+    """The coded chunks' columns, each as one array: home, appliance and
+    month codes, kwh, line numbers."""
+    return [np.concatenate(column) for column in zip(_NO_RECORDS, *parts)]
+
+
 def load_csv(path, min_coverage: float = 0.8):
     """Read a long-format CSV into (EnergyTensor, DatasetManifest).
 
-    Appliances observed in fewer than ``min_coverage`` of home-months
-    are dropped before the aggregate is reconstructed.
+    Records are parsed CHUNK_RECORDS at a time, each check running on a
+    chunk's whole columns; when one fails, the first faulty record in file
+    order is found again record by record, so the error and its line
+    number (records counted from the header as 1, blank ones included)
+    are those of a record-at-a-time reader.  Months must be consecutive.
+    Appliances observed in fewer than ``min_coverage`` of home-months are
+    dropped before the aggregate is reconstructed; a home-month with no
+    reading of a kept appliance gets a bill of 0 kWh, logged at INFO.
     """
     if not 0.0 <= min_coverage <= 1.0:
         raise ValueError(f"min_coverage must lie in [0, 1], got {min_coverage}")
-    cells = {}
+    coders = (_LabelCoder(), _LabelCoder(lambda label: label != AGGREGATE_NAME),
+              _LabelCoder(_MONTH_RE.match))
+    parts = []   # per chunk, as _coded_chunk returns it
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -108,61 +248,67 @@ def load_csv(path, min_coverage: float = 0.8):
             raise DataFormatError(f"{path}: empty file") from None
         if [c.strip() for c in header] != CSV_HEADER:
             raise DataFormatError(f"{path}: header must be {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            home, appliance, month, kwh_text = (c.strip() for c in row)
-            if appliance == AGGREGATE_NAME:
-                raise DataFormatError(
-                    f"{path}:{lineno}: appliance label {AGGREGATE_NAME!r} is reserved")
-            if not _MONTH_RE.match(month):
-                raise DataFormatError(f"{path}:{lineno}: month {month!r} is not YYYY-MM")
+        lineno = 2
+        while True:
+            rows, unreadable = [], None
             try:
-                kwh = float(kwh_text)
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad kwh value {kwh_text!r}") from None
-            if not np.isfinite(kwh):
-                raise DataFormatError(f"{path}:{lineno}: kwh must be finite")
-            if kwh < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative kwh {kwh}")
-            key = (home, appliance, month)
-            if key in cells:
-                raise DataFormatError(
-                    f"{path}:{lineno}: duplicate cell {home}/{appliance}/{month}")
-            cells[key] = kwh
-    if not cells:
+                rows.extend(itertools.islice(reader, CHUNK_RECORDS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                unreadable = exc   # raised once the records read before it pass
+            part = _coded_chunk(rows, lineno, coders)
+            if part is None:
+                _raise_first_fault(path, coders, _joined(parts), rows, lineno)
+            parts.append(part)
+            lineno += len(rows)
+            if unreadable is not None:
+                _raise_first_fault(path, coders, _joined(parts))
+                raise unreadable
+            if len(rows) < CHUNK_RECORDS:
+                break
+    columns = _joined(parts)
+    del parts
+    if not len(columns[3]):
         raise DataFormatError(f"{path}: no data rows")
+    _raise_first_fault(path, coders, columns)
+    home, appliance, month, kwh, _ = columns
 
-    homes = sorted({k[0] for k in cells})
-    counts = Counter(k[1] for k in cells)
-    months = sorted({k[2] for k in cells})
+    homes, home_rank = coders[0].sorted_ranks()
+    months, month_rank = coders[2].sorted_ranks()
     M, T = len(homes), len(months)
+    # \d also matches other scripts' digits: compare the years in ASCII
+    ascii_months = [f"{int(m[:4]):04d}{m[4:]}" for m in months]
+    calendar = month_labels(T, start=ascii_months[0])
+    if ascii_months != calendar:
+        missing = next(want for got, want in zip(ascii_months, calendar) if got != want)
+        raise DataFormatError(
+            f"{path}: no rows for month {missing}; months must be consecutive")
 
+    counts = np.bincount(appliance, minlength=len(coders[1].labels)).tolist()
+    column = np.zeros(len(counts), dtype=np.int64)   # 0: dropped
     kept = []
-    for label in sorted(counts):
-        coverage = counts[label] / (M * T)
+    for label, code in sorted(zip(coders[1].labels, range(len(counts)))):
+        coverage = counts[code] / (M * T)
         if coverage >= min_coverage:
             kept.append(label)
+            column[code] = len(kept)
         else:
             log.info("dropping appliance %r: coverage %.2f below %.2f",
                      label, coverage, min_coverage)
     if not kept:
         raise DataFormatError(f"{path}: no appliance meets coverage {min_coverage}")
 
-    home_idx = {h: i for i, h in enumerate(homes)}
-    app_idx = {a: j + 1 for j, a in enumerate(kept)}
-    month_idx = {m: k for k, m in enumerate(months)}
+    cells = column[appliance] > 0
+    index = (home_rank[home[cells]], column[appliance[cells]], month_rank[month[cells]])
     readings = np.zeros((M, len(kept) + 1, T))
     mask = np.zeros((M, len(kept) + 1, T), dtype=bool)
-    for (h, a, m), kwh in cells.items():
-        if a not in app_idx:
-            continue
-        readings[home_idx[h], app_idx[a], month_idx[m]] = kwh
-        mask[home_idx[h], app_idx[a], month_idx[m]] = True
+    readings[index] = kwh[cells]
+    mask[index] = True
     readings[:, 0, :] = readings[:, 1:, :].sum(axis=1)
     mask[:, 0, :] = True
+    unbilled = int(M * T - mask[:, 1:, :].any(axis=1).sum())
+    if unbilled:
+        log.info("%d home-months have no reading of a kept appliance; "
+                 "their aggregate bill reads 0 kWh", unbilled)
 
     tensor = EnergyTensor(readings=readings, mask=mask,
                           appliance_names=(AGGREGATE_NAME, *kept),
@@ -170,8 +316,23 @@ def load_csv(path, min_coverage: float = 0.8):
     return tensor, build_manifest(tensor, "csv", months)
 
 
+def _csv_fields(labels) -> list:
+    """Each label as ``csv.writer`` writes it among other fields of a row."""
+    out = []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for label in labels:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([label, ""])
+        out.append(buffer.getvalue()[:-2])   # less the "," and "\n" of the row
+    return out
+
+
 def save_csv(tensor: EnergyTensor, path, home_ids=None, months=None) -> None:
-    """Write the observed breakdown cells back to the long-format schema."""
+    """Write the observed breakdown cells back to the long-format schema,
+    one row per cell in (home, appliance, month) order, CHUNK_RECORDS
+    rows at a time."""
     M, _, T = tensor.readings.shape
     if home_ids is None:
         home_ids = [f"h{i:04d}" for i in range(M)]
@@ -179,15 +340,17 @@ def save_csv(tensor: EnergyTensor, path, home_ids=None, months=None) -> None:
         months = month_labels(T)
     if len(home_ids) != M or len(months) != T:
         raise ValueError("home_ids/months lengths must match the tensor")
+    breakdown = list(tensor.breakdown_indices())
+    fields = [np.array(_csv_fields(labels), dtype=object) for labels in
+              (home_ids, [tensor.appliance_names[j] for j in breakdown], months)]
+    cells = np.nonzero(tensor.mask[:, breakdown, :])
+    kwh = tensor.readings[:, breakdown, :][cells]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for i in range(M):
-            for j in tensor.breakdown_indices():
-                for k in range(T):
-                    if tensor.mask[i, j, k]:
-                        writer.writerow([home_ids[i], tensor.appliance_names[j],
-                                         months[k], repr(float(tensor.readings[i, j, k]))])
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for start in range(0, len(kwh), CHUNK_RECORDS):
+            chunk = slice(start, start + CHUNK_RECORDS)
+            columns = [f[c[chunk]].tolist() for f, c in zip(fields, cells)]
+            fh.write("".join(map(_ROW.format, *columns, kwh[chunk].tolist())))
 
 
 def _season_matrix(cfg: SyntheticConfig, rng) -> np.ndarray:

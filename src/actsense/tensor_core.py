@@ -278,7 +278,9 @@ def masked_losses(W, XW, Z, H, A, S, config: ModelConfig,
     The residual is (B, C, M), in the layout of ``W.T`` and ``XW.T``
     (C-contiguous, see :func:`masked_readings`), so masking it and
     subtracting the readings are contiguous passes; each member's sum of
-    squares is one r @ r^T over its flattened residual."""
+    squares is one r @ r^T over its flattened residual.  The product reads
+    ``H.transpose(1, 2, 0)``, which is contiguous when ``H`` is the
+    ``transpose(2, 0, 1)`` view of a C-contiguous (B, r, n) stack."""
     resid = np.matmul(Z.transpose(1, 0, 2), H.transpose(1, 2, 0))  # (B, C, M)
     resid *= W.T
     resid -= XW.T

@@ -1,11 +1,16 @@
+import csv
 import json
+import logging
+import random
 
 import numpy as np
 import pytest
 
+import csv_oracle
+from actsense import data_io
 from actsense import (DataFormatError, SyntheticConfig, generate_synthetic,
                       load_csv, read_report, run, save_csv, write_report,
-                      FoldSplit, ModelConfig)
+                      EnergyTensor, FoldSplit, ModelConfig)
 from actsense.data_io import build_manifest, month_labels, tensor_checksum
 
 
@@ -99,6 +104,197 @@ class TestLoadCsv:
         text = HEADER.replace("\n", "\r\n") + "h1,fridge,2015-01,3\r\n"
         tensor, _ = load_csv(_write(tmp_path, text))
         assert tensor.readings[0, 1, 0] == 3.0
+
+
+def _same_load(path, **kwargs):
+    """load_csv and the record-at-a-time oracle agree on ``path``: the same
+    tensor and manifest (checksum included), or the same error."""
+    try:
+        want = csv_oracle.load_csv(path, **kwargs)
+    except (DataFormatError, csv.Error) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_csv(path, **kwargs)
+        assert str(got.value) == str(exc)
+        return exc
+    tensor, manifest = load_csv(path, **kwargs)
+    assert manifest == want[1]
+    assert tensor.appliance_names == want[0].appliance_names
+    assert tensor.readings.tobytes() == want[0].readings.tobytes()
+    assert np.array_equal(tensor.mask, want[0].mask)
+    return tensor
+
+
+def _row(home="h1", appliance="fridge", month="2015-01", kwh="3"):
+    return f"{home},{appliance},{month},{kwh}\n"
+
+
+_GOOD = [_row(h, a, m, str(i + 1)) for i, (h, a, m) in enumerate(
+    (h, a, m) for h in ("h1", "h2") for a in ("fridge", "hvac") for m in ("2015-01", "2015-02"))]
+
+# name -> records after the header; each one must raise the oracle's error
+MALFORMED = {
+    "month_then_negative": [_row(month="2015-13"), _row(kwh="-1")],
+    "negative_then_month": [_row(kwh="-1"), _row(month="2015-13")],
+    "blank_lines_before": ["\n", "\n", *_GOOD[:3], "\n", _row(kwh="x")],
+    "blank_lines_before_duplicate": ["\n", *_GOOD[:2], "\n", "\n", *_GOOD[2:4],
+                                     _row(kwh="9")],
+    "unparsable_kwh": [*_GOOD[:5], _row("h3", kwh="1,5")],
+    "kwh_text": [*_GOOD[:2], _row("h3", kwh="lots")],
+    "nan": [*_GOOD[:4], _row("h3", kwh="nan")],
+    "spaced_inf": [*_GOOD[:4], _row("h3", kwh=" inf")],
+    "negative_zero_then_negative": [_row(kwh="-0.0"), _row("h2", kwh="-1e-300")],
+    "reserved": [*_GOOD[:6], _row("h3", appliance=" aggregate ")],
+    "three_fields": [*_GOOD[:3], "h3,fridge,2015-01\n"],
+    "five_fields": [*_GOOD[:3], "h3,fridge,2015-01,3,4\n"],
+    "bad_month_form": [*_GOOD[:3], _row("h3", month="2015-1")],
+    "duplicate_by_whitespace": [*_GOOD[:3], _row("h1 ", kwh="9")],
+    "duplicate_quoted_commas": ['"h,1",fridge,2015-01,3\n', *_GOOD[:5],
+                                '" h,1","fridge",2015-01,4\n'],
+    "duplicate_before_bad": [*_GOOD[:3], _row(kwh="5"), *_GOOD[3:], _row("h3", kwh="-2")],
+    "bad_before_duplicate": [*_GOOD[:3], _row("h3", kwh="-2"), _row(kwh="5")],
+    "duplicate_far_back": [*_GOOD, _row("h3"), _row("h3", month="2015-02"),
+                           _row("h2", "hvac", "2015-02")],
+    "quoted_newline_then_bad": ['"h\n1",fridge,2015-01,3\n', *_GOOD[:4],
+                                _row("h3", month="15-01")],
+    "bad_then_unreadable": [*_GOOD[:3], _row("h3", kwh="-2"), "x" * 200_000 + "\n"],
+    "unreadable": [*_GOOD[:3], "x" * 200_000 + "\n"],
+    "duplicate_then_unreadable": [*_GOOD[:3], _row(kwh="5"), "x" * 200_000 + "\n"],
+}
+
+
+class TestStreamedLoaderMatchesOracle:
+    """Every malformed file raises the record-at-a-time oracle's error, at
+    the default chunk size and at small ones that put records at every
+    position relative to a chunk boundary."""
+
+    @pytest.mark.parametrize("chunk", [data_io.CHUNK_RECORDS, 1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_raises_the_oracles_error(self, tmp_path, monkeypatch,
+                                                    name, chunk):
+        monkeypatch.setattr(data_io, "CHUNK_RECORDS", chunk)
+        path = _write(tmp_path, HEADER + "".join(MALFORMED[name]))
+        assert isinstance(_same_load(path), (DataFormatError, csv.Error))
+
+    @pytest.mark.parametrize("chunk", [data_io.CHUNK_RECORDS, 1, 3])
+    def test_every_single_fault_position(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data_io, "CHUNK_RECORDS", chunk)
+        for position in range(len(_GOOD) + 1):
+            for bad in (_row("h9", kwh="-3"), _row(kwh="7"), "\n"):
+                rows = [*_GOOD[:position], bad, *_GOOD[position:]]
+                _same_load(_write(tmp_path, HEADER + "".join(rows)))
+
+    @pytest.mark.parametrize("chunk", [data_io.CHUNK_RECORDS, 2])
+    def test_good_files_give_the_oracles_tensor(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data_io, "CHUNK_RECORDS", chunk)
+        files = {
+            "plain": _GOOD,
+            "blank_lines_and_spaces": ["\n", *(" " + r.replace(",", " , ") for r in _GOOD),
+                                       "\n"],
+            "quoted_labels": [r.replace("h1", '"h,1"').replace("hvac", '"hv""ac"')
+                              for r in _GOOD],
+            "negative_zero_and_underscores": [_row(kwh="-0.0"), _row("h2", kwh="1_000"),
+                                              _row("h3", kwh="1e-310")],
+            "unsorted_labels": list(reversed(_GOOD)),
+        }
+        for name, rows in files.items():
+            for coverage in (0.0, 0.8):
+                _same_load(_write(tmp_path, HEADER + "".join(rows), f"{name}.csv"),
+                           min_coverage=coverage)
+        crlf = HEADER.replace("\n", "\r\n") + "".join(_GOOD).replace("\n", "\r\n")
+        _same_load(_write(tmp_path, crlf, "crlf.csv"))
+        sparse = [_row(f"h{i}", f"app{i % 3}", "2015-01") for i in range(10)]
+        _same_load(_write(tmp_path, HEADER + "".join(sparse), "sparse.csv"),
+                   min_coverage=0.3)
+
+
+class TestCalendar:
+    def test_skipped_month_is_named(self, tmp_path):
+        path = _write(tmp_path, HEADER + _row(month="2015-01") + _row(month="2015-03"))
+        # the record-at-a-time reader closed the gap
+        assert csv_oracle.load_csv(path)[1].month_range == ("2015-01", "2015-03")
+        with pytest.raises(DataFormatError,
+                           match=r"no rows for month 2015-02; months must be consecutive"):
+            load_csv(path)
+
+    def test_first_of_several_gaps_is_named(self, tmp_path):
+        rows = [_row(month=m) for m in ("2015-11", "2016-02", "2016-05")]
+        with pytest.raises(DataFormatError, match="no rows for month 2015-12"):
+            load_csv(_write(tmp_path, HEADER + "".join(rows)))
+
+    def test_year_in_other_digits_is_a_month(self, tmp_path):
+        # \d matches Arabic-Indic digits, so YYYY-MM accepts this year
+        year = "\u0662\u0660\u0661\u0665"
+        rows = [_row(month=f"{year}-{m}") for m in ("01", "02")]
+        _same_load(_write(tmp_path, HEADER + "".join(rows)))
+
+    def test_months_across_a_year_end_are_consecutive(self, tmp_path):
+        rows = [_row(month=m) for m in ("2016-01", "2015-12", "2016-02")]
+        tensor, manifest = load_csv(_write(tmp_path, HEADER + "".join(rows)))
+        assert manifest.month_range == ("2015-12", "2016-02")
+        assert tensor.readings.shape == (1, 2, 3)
+
+
+def test_home_month_without_rows_is_billed_zero_and_logged(tmp_path, caplog):
+    rows = [_row(h, a, m) for h in ("h1", "h2") for a in ("fridge", "hvac")
+            for m in ("2015-01", "2015-02", "2015-03") if (h, m) != ("h2", "2015-03")]
+    with caplog.at_level(logging.INFO, logger="actsense.data_io"):
+        tensor, _ = load_csv(_write(tmp_path, HEADER + "".join(rows)), min_coverage=0.0)
+    assert tensor.readings[1, 0, 2] == 0.0 and tensor.mask[1, 0, 2]
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 home-months have no reading of a kept appliance; "
+        "their aggregate bill reads 0 kWh"]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="actsense.data_io"):
+        load_csv(_write(tmp_path, HEADER + "".join(_GOOD), "full.csv"))
+    assert caplog.records == []
+
+
+class TestSaveCsvMatchesOracle:
+    def _both(self, tmp_path, tensor, **kwargs):
+        data_io.save_csv(tensor, tmp_path / "new.csv", **kwargs)
+        csv_oracle.save_csv(tensor, tmp_path / "old.csv", **kwargs)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        return tmp_path / "new.csv"
+
+    def test_thousand_home_world_round_trip(self, tmp_path):
+        world, _ = generate_synthetic(SyntheticConfig(
+            num_homes=1000, num_appliances=6, num_months=12, true_rank=2,
+            noise_sigma=0.05, seed=1))
+        path = self._both(tmp_path, world)
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(1).shuffle(rows)
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        tensor = _same_load(path)
+        assert tensor.readings.tobytes() == world.readings.tobytes()
+
+    @pytest.mark.parametrize("chunk", [data_io.CHUNK_RECORDS, 5])
+    def test_labels_that_need_quoting(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data_io, "CHUNK_RECORDS", chunk)
+        rng = np.random.default_rng(3)
+        breakdown = rng.uniform(0.0, 9.0, size=(3, 3, 2))
+        readings = np.concatenate([breakdown.sum(axis=1, keepdims=True), breakdown], axis=1)
+        mask = rng.random(readings.shape) < 0.7
+        mask[:, 0, :] = True
+        tensor = EnergyTensor(readings=readings, mask=mask,
+                              appliance_names=("aggregate", "a,b", 'say "hi"', "two\nlines"),
+                              aggregate_index=0)
+        path = self._both(tmp_path, tensor, home_ids=["x,1", 'q"2', "n\r\n3"],
+                          months=["2015-01", "2015-02"])
+        _same_load(path, min_coverage=0.0)
+
+    def test_given_home_ids_and_months(self, tmp_path, tiny_tensor):
+        kwargs = {"home_ids": ["south", "north"], "months": ["2019-11", "2019-12", "2020-01"]}
+        path = self._both(tmp_path, tiny_tensor, **kwargs)
+        tensor = _same_load(path)
+        assert tensor.readings.tobytes() == tiny_tensor.readings[[1, 0]].tobytes()
+
+    def test_aggregate_not_first(self, tmp_path, tiny_tensor):
+        order = [1, 0, 2]
+        tensor = EnergyTensor(readings=tiny_tensor.readings[:, order],
+                              mask=tiny_tensor.mask[:, order],
+                              appliance_names=("fridge", "aggregate", "hvac"),
+                              aggregate_index=1)
+        self._both(tmp_path, tensor)
 
 
 class TestCsvRoundTrip:

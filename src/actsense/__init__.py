@@ -20,8 +20,8 @@ from .strategies import (CandidatePool, SelectionResult, select_actsense,
                          select_qbc, select_random)
 from .tensor_core import (EnergyTensor, LatentFactors, ModelConfig,
                           ObservationSet, masked_objective)
-from .uncertainty import (ConfidenceParams, KernelConfig, factor_error_alphas,
-                          instant_score, integrated_uncertainty, invert_stats,
+from .uncertainty import (ConfidenceParams, KernelConfig, instant_score,
+                          integrated_uncertainty, invert_stats,
                           sherman_morrison_update, triangle_weight)
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "KernelConfig", "LatentFactors", "ModelConfig", "NumericalError",
     "ObservationSet", "SelectionResult", "SimReport", "SimState",
     "SufficientStats", "SyntheticConfig", "accumulate_stats",
-    "factor_error_alphas", "fit", "generate_synthetic",
+    "fit", "generate_synthetic",
     "instant_score", "integrated_uncertainty", "invert_stats",
     "kfold_split", "load_csv", "masked_objective", "mean_rmse",
     "read_report", "relative_improvement", "resolve_caps",

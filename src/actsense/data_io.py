@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 AGGREGATE_NAME = "aggregate"
 CSV_HEADER = ["home_id", "appliance", "month", "kwh"]
-_MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+_MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$", re.ASCII)
 # save_csv's record: three labels quoted by _csv_fields, then repr(kWh),
 # which never needs quoting
 _ROW = "{},{},{},{!r}\n"
@@ -275,11 +275,9 @@ def load_csv(path, min_coverage: float = 0.8):
     homes, home_rank = coders[0].sorted_ranks()
     months, month_rank = coders[2].sorted_ranks()
     M, T = len(homes), len(months)
-    # \d also matches other scripts' digits: compare the years in ASCII
-    ascii_months = [f"{int(m[:4]):04d}{m[4:]}" for m in months]
-    calendar = month_labels(T, start=ascii_months[0])
-    if ascii_months != calendar:
-        missing = next(want for got, want in zip(ascii_months, calendar) if got != want)
+    calendar = month_labels(T, start=months[0])
+    if months != calendar:
+        missing = next(want for got, want in zip(months, calendar) if got != want)
         raise DataFormatError(
             f"{path}: no rows for month {missing}; months must be consecutive")
 
@@ -449,6 +447,8 @@ def read_report(path) -> SimReport:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("config", {}), dict):
+        raise DataFormatError(f"{path}: a report and its config must be JSON objects")
     try:
         return SimReport(
             config_echo=payload["config"],

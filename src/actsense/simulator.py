@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from . import als_engine, strategies, uncertainty
+from . import als_engine, strategies
 from .als_engine import SufficientStats
 from .errors import NumericalError
 from .evaluation import FoldSplit, mean_rmse, rmse_appliance_month, year_rmse
@@ -136,16 +136,11 @@ def step_month(state: SimState, tensor: EnergyTensor, strategy: str, L: int,
         log.info("month %d: pool has %d candidates, fewer than L=%d; installing all",
                  t, len(pool), L)
     if strategy == "actsense":
-        cp_eff = cp
-        if cp.alpha_mode == "bound":
-            a_home, a_app = uncertainty.factor_error_alphas(
-                len(omega), cp, model_config, als_engine.resolve_caps(tensor, model_config))
-            cp_eff = replace(cp, alpha_home=a_home, alpha_app=a_app)
         prior_eff = season_prior
         if prior_eff is None:
             prior_eff = np.tile(factors.S[t], (kc.horizon, 1))
         result = strategies.select_actsense(pool, L, t, factors, stats, prior_eff,
-                                            cp_eff, kc, mode=uncertainty_mode,
+                                            cp, kc, mode=uncertainty_mode,
                                             sequential=sequential)
     elif strategy == "random":
         result = strategies.select_random(pool, L, derived_seed(state.seed, 2, t))

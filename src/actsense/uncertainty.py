@@ -18,41 +18,26 @@ import numpy as np
 
 from .als_engine import CONDITION_LIMIT, SufficientStats
 from .errors import NumericalError
-from .tensor_core import LatentFactors, ModelConfig
+from .tensor_core import LatentFactors
 
 MODES = ("full", "current", "current_future")
 
 
 @dataclass(frozen=True)
 class ConfidenceParams:
-    """Alphas and bound constants for uncertainty scoring.
+    """The two alphas scaling a pair's home and appliance widths.
 
-    ``alpha_mode`` "fixed" uses ``alpha_home``/``alpha_app`` directly;
-    "bound" means the caller derives them from the closed-form
-    high-probability bound via :func:`factor_error_alphas`, from the
-    q/epsilon convergence constants here (each q_m + eps_m < 1) and the
-    norm caps the fit projects onto.
+    The paper's factor-error bound grows both alike with the observation
+    count; at the data-derived norm caps its ratio ``alpha_home / alpha_app``
+    is ``sqrt(lambda2 / lambda1)``, so alphas in that ratio pick as it does.
     """
 
-    alpha_mode: str = "fixed"
     alpha_home: float = 0.1
     alpha_app: float = 0.1
-    delta: float = 0.05
-    q_rates: tuple = (0.5, 0.5, 0.5)
-    epsilons: tuple = (0.01, 0.01, 0.01)
 
     def __post_init__(self):
-        if self.alpha_mode not in ("fixed", "bound"):
-            raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if not all(0.0 <= a < np.inf for a in (self.alpha_home, self.alpha_app)):
             raise ValueError("alpha_home and alpha_app must be finite and >= 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if len(self.q_rates) != 3 or len(self.epsilons) != 3:
-            raise ValueError("q_rates and epsilons must have three entries")
-        if self.alpha_mode == "bound" and any(
-                q + e >= 1.0 for q, e in zip(self.q_rates, self.epsilons)):
-            raise ValueError("each q + epsilon must be < 1 for bound mode")
 
 
 @dataclass(frozen=True)
@@ -116,33 +101,6 @@ def instant_score(x: int, y: int, s_tilde, stats: SufficientStats,
     width_home = np.sqrt(_quadform(stats.home_precision[x], v_home))
     width_app = np.sqrt(_quadform(stats.app_precision[y], v_app))
     return float(cp.alpha_home * width_home + cp.alpha_app * width_app)
-
-
-def factor_error_alphas(omega_size: int, cp: ConfidenceParams,
-                        config: ModelConfig, caps: tuple) -> tuple:
-    """High-probability factor-error radii (alpha_home, alpha_app).
-
-    Closed-form bound combining the self-normalized log term, the ridge
-    bias sqrt(lambda)*cap, and geometric tails from the q-linear
-    convergence constants.  ``caps`` are the row-norm caps (P, Q, R) of
-    the home, appliance and season factors.  Grows with the observation
-    count.
-    """
-    P, Q, R = caps
-    n = int(omega_size)
-    fs = [q + e for q, e in zip(cp.q_rates, cp.epsilons)]
-    if any(f >= 1.0 for f in fs):
-        raise ValueError("geometric bound diverges: q + epsilon must be < 1")
-    G = [f * (1.0 - f ** n) / (1.0 - f) if f > 0 else 0.0 for f in fs]
-    r = config.rank
-
-    def _one(lam, own_cap, num_cap_sq, tail_coeff, tail_G):
-        log_term = np.sqrt(r * np.log((lam * r + n * num_cap_sq) / (lam * r * cp.delta)))
-        return float(log_term + np.sqrt(lam) * own_cap + tail_coeff / np.sqrt(lam) * tail_G)
-
-    alpha_home = _one(config.lambda1, P, (Q * R) ** 2, 2.0 * P * Q * Q * R * R, G[1] + G[2])
-    alpha_app = _one(config.lambda2, Q, (P * R) ** 2, 2.0 * P * P * Q * R * R, G[0] + G[2])
-    return alpha_home, alpha_app
 
 
 def triangle_weight(t_prime: int, t: int, kc: KernelConfig) -> float:

@@ -279,6 +279,35 @@ class TestCompare:
         rc = main(["compare", str(out_a), "--baseline", "random"])
         assert rc == 1
 
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"config": [], "selections": [], "rmse": {}, "mean_rmse": [1.0],
+         "year_rmse": 1.0, "omega_sizes": [1]},
+    ], ids=["list", "config-list"])
+    def test_report_of_the_wrong_shape_is_a_format_error(self, tmp_path, capsys,
+                                                         payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["compare", str(bad), "--baseline", "random"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_report_with_the_older_confidence_echo_still_compares(self, dataset,
+                                                                  tmp_path):
+        out_r, out_a = self._run_pair(dataset, tmp_path)
+        report_a = next(out_a.glob("*.json"))
+        payload = json.loads(report_a.read_text(encoding="utf-8"))
+        assert set(payload["config"]["confidence"]) == {"alpha_home", "alpha_app"}
+        # the echo of the bound-alpha options that reports once carried
+        payload["config"]["confidence"].update(
+            alpha_mode="fixed", delta=0.05, q_rates=[0.5, 0.5, 0.5],
+            epsilons=[0.01, 0.01, 0.01])
+        report_a.write_text(json.dumps(payload), encoding="utf-8")
+        assert len(data_io.read_report(report_a).config_echo["confidence"]) == 6
+        summary = tmp_path / "summary.csv"
+        assert main(["compare", str(out_r), str(out_a), "--baseline", "random",
+                     "--summary-out", str(summary)]) == 0
+        assert sorted(r["strategy"] for r in _rows(summary)) == ["actsense", "random"]
+
     def test_ablation_modes_form_distinct_rows(self, dataset, tmp_path):
         outs = []
         for mode in ("current", "full"):

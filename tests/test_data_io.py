@@ -221,11 +221,16 @@ class TestCalendar:
         with pytest.raises(DataFormatError, match="no rows for month 2015-12"):
             load_csv(_write(tmp_path, HEADER + "".join(rows)))
 
-    def test_year_in_other_digits_is_a_month(self, tmp_path):
-        # \d matches Arabic-Indic digits, so YYYY-MM accepts this year
-        year = "\u0662\u0660\u0661\u0665"
-        rows = [_row(month=f"{year}-{m}") for m in ("01", "02")]
-        _same_load(_write(tmp_path, HEADER + "".join(rows)))
+    @pytest.mark.parametrize("months, lineno", [
+        (("\u0662\u0660\u0661\u0665-01", "\u0662\u0660\u0661\u0665-02"), 2),
+        (("2015-01", "\u0662\u0660\u0661\u0665-01"), 3),
+    ], ids=["other-digits-only", "repeats-2015-01"])
+    def test_year_in_other_digits_is_rejected_at_its_record(self, tmp_path, months,
+                                                            lineno):
+        # an Arabic-Indic 2015: a month's year is four ASCII digits
+        rows = [_row(month=m) for m in months]
+        exc = _same_load(_write(tmp_path, HEADER + "".join(rows)))
+        assert str(exc).endswith(f":{lineno}: month {months[lineno - 2]!r} is not YYYY-MM")
 
     def test_months_across_a_year_end_are_consecutive(self, tmp_path):
         rows = [_row(month=m) for m in ("2016-01", "2015-12", "2016-02")]
@@ -424,6 +429,15 @@ class TestReportRoundTrip:
         with pytest.raises(DataFormatError):
             read_report(path)
 
+
+    @pytest.mark.parametrize("payload", [[1, 2], "report", None, {"config": []}],
+                             ids=["list", "string", "null", "config-list"])
+    def test_payload_or_config_not_an_object(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="must be JSON objects") as exc:
+            read_report(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 class TestManifest:
     def test_checksum_stable_across_reload(self, tmp_path):

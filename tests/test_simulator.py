@@ -1,13 +1,12 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from actsense import (ConfidenceParams, FoldSplit, KernelConfig, ModelConfig,
-                      SyntheticConfig, factor_error_alphas, generate_synthetic,
-                      kfold_split, resolve_caps, run, run_with_state, write_report)
-from actsense import NumericalError, als_engine, simulator, strategies
+                      SyntheticConfig, generate_synthetic, kfold_split, run,
+                      run_with_state, write_report)
+from actsense import NumericalError, als_engine, simulator
 from actsense.simulator import SimState, reveal, run_all, step_month
 
 
@@ -102,27 +101,6 @@ class TestStepMonth:
         with pytest.raises(ValueError):
             step_month(SimState.initial(tensor.readings.shape), tensor, "vbv", 1,
                        mc, cp, kc, split)
-
-    @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)], ids=["derived", "configured"])
-    def test_bound_mode_alphas_use_the_fit_caps(self, small_world, monkeypatch, caps):
-        tensor, split, mc = small_world
-        mc = replace(mc, norm_caps=caps)
-        cp = ConfidenceParams(alpha_mode="bound")
-        kc = KernelConfig(sigma_window=3, horizon=6)
-        given = []
-        real_select = strategies.select_actsense
-
-        def capturing_select(pool, L, t, factors, stats, season_prior, cp, kc, **kw):
-            given.append(cp)
-            return real_select(pool, L, t, factors, stats, season_prior, cp, kc, **kw)
-
-        monkeypatch.setattr(strategies, "select_actsense", capturing_select)
-        state, _ = step_month(SimState.initial(tensor.readings.shape, seed=2), tensor,
-                              "actsense", 2, mc, cp, kc, split)
-        (got,) = given
-        want = factor_error_alphas(len(state.omega), cp, mc, resolve_caps(tensor, mc))
-        assert (got.alpha_home, got.alpha_app) == want
-        assert want != (cp.alpha_home, cp.alpha_app)
 
     def test_qbc_selection_month_builds_no_precisions(self, small_world, monkeypatch):
         tensor, split, mc = small_world

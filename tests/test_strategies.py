@@ -162,6 +162,21 @@ class TestSelectActsense:
                        for x, y in pairs)
             assert result.scores[0] == pytest.approx(best, rel=1e-10)
 
+    @pytest.mark.parametrize("sequential", [False, True], ids=["batch", "sequential"])
+    def test_a_common_alpha_scale_keeps_the_picks(self, sequential):
+        # alphas in the ratio sqrt(lambda2 / lambda1) pick alike at any common
+        # scale; a power of two scales every score exactly
+        kc = KernelConfig(sigma_window=3, horizon=8)
+        base = ConfidenceParams(alpha_home=0.1 * np.sqrt(10.0), alpha_app=0.1)
+        big = ConfidenceParams(alpha_home=2.0 ** 33 * base.alpha_home,
+                               alpha_app=2.0 ** 33 * base.alpha_app)
+        for seed in range(10):
+            factors, stats, pairs, prior = self._random_instance(200 + seed)
+            picks = [select_actsense(pool_of(pairs), 4, 3, factors, stats, prior, cp,
+                                     kc, sequential=sequential) for cp in (base, big)]
+            assert picks[1].chosen == picks[0].chosen
+            assert picks[1].scores == tuple(2.0 ** 33 * s for s in picks[0].scores)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_sequential_picks_match_directly_bumped_precisions(self, rank):
         # oracle: after each pick (x, y), add v v^T to home x's and appliance

@@ -1,10 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from actsense import (ConfidenceParams, KernelConfig, LatentFactors,
-                      ModelConfig, NumericalError, factor_error_alphas,
-                      instant_score, integrated_uncertainty, invert_stats,
-                      sherman_morrison_update, triangle_weight)
+                      NumericalError, instant_score, integrated_uncertainty,
+                      invert_stats, sherman_morrison_update, triangle_weight)
 from actsense.als_engine import CONDITION_LIMIT, SufficientStats
 from actsense.uncertainty import score_pairs
 
@@ -49,45 +50,18 @@ class TestInstantScore:
             instant_score(0, 0, np.ones(2), stats, f, ConfidenceParams())
 
 
-class TestFactorErrorAlphas:
-    def _cp(self, **kw):
-        base = dict(alpha_mode="bound", delta=1.0 / np.e,
-                    q_rates=(0.49, 0.49, 0.49), epsilons=(0.01, 0.01, 0.01))
-        base.update(kw)
-        return ConfidenceParams(**base)
-
-    def test_empty_observation_limit(self):
-        cp = self._cp(delta=0.1)
-        cfg = ModelConfig(rank=3, lambda1=4.0, lambda2=1.0)
-        a_home, _ = factor_error_alphas(0, cp, cfg, (2.0, 1.0, 1.0))
-        assert a_home == pytest.approx(np.sqrt(3 * np.log(1 / 0.1)) + 2.0 * 2.0)
-
-    def test_hand_evaluation(self):
-        cp = self._cp()  # f2 = f3 = 0.5, delta = 1/e, P = Q = R = 1
-        cfg = ModelConfig(rank=1, lambda1=1.0, lambda2=1.0)
-        a_home, _ = factor_error_alphas(1, cp, cfg, (1.0, 1.0, 1.0))
-        assert a_home == pytest.approx(np.sqrt(1 + np.log(2)) + 3.0, rel=1e-12)
-
-    def test_monotone_in_observations(self):
-        cp = self._cp()
-        cfg = ModelConfig(rank=2, lambda1=1.0, lambda2=1.0)
-        a10 = factor_error_alphas(10, cp, cfg, (1.0, 1.0, 1.0))
-        a100 = factor_error_alphas(100, cp, cfg, (1.0, 1.0, 1.0))
-        assert a100[0] >= a10[0] and a100[1] >= a10[1]
-
-    def test_divergent_geometry_rejected(self):
-        cp = ConfidenceParams(alpha_mode="fixed", q_rates=(0.9, 0.9, 0.9),
-                              epsilons=(0.2, 0.2, 0.2))
-        with pytest.raises(ValueError):
-            factor_error_alphas(5, cp, ModelConfig(rank=1), (1.0, 1.0, 1.0))
-
-
 @pytest.mark.parametrize("alphas", [dict(alpha_home=-1.0), dict(alpha_app=float("nan")),
                                     dict(alpha_home=float("inf"))],
                          ids=["negative", "nan", "inf"])
 def test_alpha_must_be_finite_and_nonnegative(alphas):
     with pytest.raises(ValueError, match="finite and >= 0"):
         ConfidenceParams(**alphas)
+
+
+def test_confidence_params_holds_only_the_two_alphas():
+    assert [f.name for f in fields(ConfidenceParams)] == ["alpha_home", "alpha_app"]
+    with pytest.raises(TypeError):
+        ConfidenceParams(delta=0.05)
 
 
 class TestTriangleWeight:

@@ -100,37 +100,24 @@ def month_labels(T: int, start: str = "2015-01") -> list:
 
 class _LabelCoder:
     """One label column's stripped labels, coded as integers in order of
-    first appearance.  Each field as read is stripped and looked up once;
-    ``check`` runs once per distinct stripped label, and ``faulty`` turns
-    True when one fails it."""
+    first appearance.  Each field as read is stripped and looked up once."""
 
-    def __init__(self, check=None):
-        self.labels = []          # code -> stripped label
-        self.faulty = False
-        self._check = check
-        self._codes = {}          # stripped label -> code
+    def __init__(self):
+        self.codes = {}           # stripped label -> code
         self._fields = {}         # field as read -> code
 
     def __call__(self, fields) -> np.ndarray:
         for field in dict.fromkeys(fields):
             if field not in self._fields:
-                self._fields[field] = self._code(field.strip())
+                self._fields[field] = self.codes.setdefault(field.strip(), len(self.codes))
         return np.fromiter(map(self._fields.__getitem__, fields), np.int64, len(fields))
-
-    def _code(self, label: str) -> int:
-        code = self._codes.get(label)
-        if code is None:
-            code = self._codes[label] = len(self.labels)
-            self.labels.append(label)
-            self.faulty |= self._check is not None and not self._check(label)
-        return code
 
     def sorted_ranks(self):
         """(labels in sorted order, each code's position among them)."""
-        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
-        ranks = np.empty(len(order), dtype=np.int64)
-        ranks[order] = np.arange(len(order))
-        return [self.labels[c] for c in order], ranks
+        labels = sorted(self.codes)
+        ranks = np.empty(len(labels), dtype=np.int64)
+        ranks[[self.codes[label] for label in labels]] = np.arange(len(labels))
+        return labels, ranks
 
 
 def _check_record(path, lineno: int, row) -> tuple:
@@ -156,89 +143,62 @@ def _check_record(path, lineno: int, row) -> tuple:
     return home, appliance, month
 
 
-_NO_RECORDS = (*(np.zeros(0, dtype=np.int64),) * 3, np.zeros(0), np.zeros(0, dtype=np.int64))
-
-
-def _coded_chunk(rows, first_lineno: int, coders):
-    """A chunk of records as (home, appliance and month codes, kwh, line
-    numbers), the blank records left out; None when a record fails a check
-    (duplicates aside)."""
+def _coded_chunk(rows, coders):
+    """A chunk of records as (home, appliance and month codes, kwh), the
+    blank records left out; None when a record does not hold 4 fields or a
+    kwh is not a finite nonnegative number.  Labels are left to the caller
+    to check, once each."""
     lengths = set(map(len, rows))
-    lines = np.arange(first_lineno, first_lineno + len(rows))
     if 0 in lengths:   # blank records count as lines but hold no cell
-        kept = [i for i, row in enumerate(rows) if row]
-        rows, lines = [rows[i] for i in kept], lines[kept]
+        rows = [row for row in rows if row]
         lengths.discard(0)
-    if not rows:
-        return _NO_RECORDS
-    if lengths != {4}:
+    if lengths - {4}:
         return None
-    *fields, kwh_text = zip(*rows)
-    codes = [coder(column) for coder, column in zip(coders, fields)]
+    *fields, kwh_text = zip(*rows) if rows else ((),) * 4
     try:
         kwh = np.fromiter(map(float, kwh_text), float, len(kwh_text))
     except ValueError:
         return None
-    if any(coder.faulty for coder in coders) or not np.isfinite(kwh).all() \
-            or (kwh < 0).any():
+    if not np.isfinite(kwh).all() or (kwh < 0).any():
         return None
-    return (*codes, kwh, lines)
+    return (*(coder(column) for coder, column in zip(coders, fields)), kwh)
 
 
-def _raise_first_fault(path, coders, columns, rows=(), first_lineno=0):
-    """Raise the error of the first faulty record in file order, if any:
-    a record of the coded ``columns`` (see :func:`_joined`) whose cell an
-    earlier one holds, else the first of ``rows``, the chunk read after
-    them and numbered from ``first_lineno``, that fails a check or repeats
-    an earlier cell."""
-    codes, lines = columns[:3], columns[4]
-    sizes = [len(coder.labels) for coder in coders]
-    pair = codes[0] * sizes[1] + codes[1]
-    if sizes[0] * sizes[1] * sizes[2] >= 2 ** 63:   # renumber the pairs to fit int64
-        pair = np.unique(pair, return_inverse=True)[1]
-    keys = pair * sizes[2] + codes[2]
-    ordered = np.sort(keys)
-    if (ordered[1:] == ordered[:-1]).any():
+def _raise_first_fault(path):
+    """Read the file again a record at a time and raise the error of its
+    first faulty record: the DataFormatError of a failing check or of a
+    repeated cell, or the csv or decoding error of an unreadable record.
+    Called only on a file whose header passed and whose chunks did not."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         seen = set()
-        for index, key in enumerate(keys.tolist()):
-            if key in seen:
-                cell = "/".join(c.labels[k[index]] for c, k in zip(coders, codes))
-                raise DataFormatError(f"{path}:{lines[index]}: duplicate cell {cell}")
-            seen.add(key)
-    if not rows:
-        return
-    seen = set(zip(*(map(c.labels.__getitem__, k.tolist()) for c, k in zip(coders, codes))))
-    for lineno, row in enumerate(rows, start=first_lineno):
-        if not row:
-            continue
-        cell = _check_record(path, lineno, row)
-        if cell in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate cell {'/'.join(cell)}")
-        seen.add(cell)
-
-
-def _joined(parts) -> list:
-    """The coded chunks' columns, each as one array: home, appliance and
-    month codes, kwh, line numbers."""
-    return [np.concatenate(column) for column in zip(_NO_RECORDS, *parts)]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            cell = _check_record(path, lineno, row)
+            if cell in seen:
+                raise DataFormatError(f"{path}:{lineno}: duplicate cell {'/'.join(cell)}")
+            seen.add(cell)
+    raise AssertionError(f"{path}: the chunked check found a fault the record check did not")
 
 
 def load_csv(path, min_coverage: float = 0.8):
     """Read a long-format CSV into (EnergyTensor, DatasetManifest).
 
-    Records are parsed CHUNK_RECORDS at a time, each check running on a
-    chunk's whole columns; when one fails, the first faulty record in file
-    order is found again record by record, so the error and its line
-    number (records counted from the header as 1, blank ones included)
-    are those of a record-at-a-time reader.  Months must be consecutive.
-    Appliances observed in fewer than ``min_coverage`` of home-months are
-    dropped before the aggregate is reconstructed; a home-month with no
-    reading of a kept appliance gets a bill of 0 kWh, logged at INFO.
+    A clean file is read once, CHUNK_RECORDS records at a time, each check
+    running on a chunk's whole columns and each label checked once.  A
+    faulty file is then read a second time, record by record, to name its
+    first bad record, so the error and its line number (records counted
+    from the header as 1, blank ones included) are those of a
+    record-at-a-time reader.  Months must be consecutive.  Appliances
+    observed in fewer than ``min_coverage`` of home-months are dropped
+    before the aggregate is reconstructed; a home-month with no reading of
+    a kept appliance gets a bill of 0 kWh, logged at INFO.
     """
     if not 0.0 <= min_coverage <= 1.0:
         raise ValueError(f"min_coverage must lie in [0, 1], got {min_coverage}")
-    coders = (_LabelCoder(), _LabelCoder(lambda label: label != AGGREGATE_NAME),
-              _LabelCoder(_MONTH_RE.match))
+    coders = (_LabelCoder(), _LabelCoder(), _LabelCoder())
     parts = []   # per chunk, as _coded_chunk returns it
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -248,29 +208,27 @@ def load_csv(path, min_coverage: float = 0.8):
             raise DataFormatError(f"{path}: empty file") from None
         if [c.strip() for c in header] != CSV_HEADER:
             raise DataFormatError(f"{path}: header must be {','.join(CSV_HEADER)}")
-        lineno = 2
-        while True:
-            rows, unreadable = [], None
-            try:
-                rows.extend(itertools.islice(reader, CHUNK_RECORDS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                unreadable = exc   # raised once the records read before it pass
-            part = _coded_chunk(rows, lineno, coders)
-            if part is None:
-                _raise_first_fault(path, coders, _joined(parts), rows, lineno)
-            parts.append(part)
-            lineno += len(rows)
-            if unreadable is not None:
-                _raise_first_fault(path, coders, _joined(parts))
-                raise unreadable
-            if len(rows) < CHUNK_RECORDS:
-                break
-    columns = _joined(parts)
-    del parts
-    if not len(columns[3]):
+        clean = True
+        try:
+            while clean and (rows := list(itertools.islice(reader, CHUNK_RECORDS))):
+                parts.append(_coded_chunk(rows, coders))
+                clean = parts[-1] is not None
+        except (csv.Error, UnicodeDecodeError):
+            clean = False
+    if not clean:
+        _raise_first_fault(path)
+    if not coders[0].codes:
         raise DataFormatError(f"{path}: no data rows")
-    _raise_first_fault(path, coders, columns)
-    home, appliance, month, kwh, _ = columns
+    home, appliance, month, kwh = (np.concatenate(column) for column in zip(*parts))
+    del parts
+    sizes = [len(coder.codes) for coder in coders]
+    pair = home * sizes[1] + appliance
+    if sizes[0] * sizes[1] * sizes[2] >= 2 ** 63:   # renumber the pairs to fit int64
+        pair = np.unique(pair, return_inverse=True)[1]
+    ordered = np.sort(pair * sizes[2] + month)
+    if (ordered[1:] == ordered[:-1]).any() or AGGREGATE_NAME in coders[1].codes \
+            or not all(map(_MONTH_RE.match, coders[2].codes)):
+        _raise_first_fault(path)
 
     homes, home_rank = coders[0].sorted_ranks()
     months, month_rank = coders[2].sorted_ranks()
@@ -281,10 +239,10 @@ def load_csv(path, min_coverage: float = 0.8):
         raise DataFormatError(
             f"{path}: no rows for month {missing}; months must be consecutive")
 
-    counts = np.bincount(appliance, minlength=len(coders[1].labels)).tolist()
-    column = np.zeros(len(counts), dtype=np.int64)   # 0: dropped
+    counts = np.bincount(appliance, minlength=sizes[1]).tolist()
+    column = np.zeros(sizes[1], dtype=np.int64)   # 0: dropped
     kept = []
-    for label, code in sorted(zip(coders[1].labels, range(len(counts)))):
+    for label, code in sorted(coders[1].codes.items()):
         coverage = counts[code] / (M * T)
         if coverage >= min_coverage:
             kept.append(label)
@@ -450,7 +408,7 @@ def read_report(path) -> SimReport:
     if not isinstance(payload, dict) or not isinstance(payload.get("config", {}), dict):
         raise DataFormatError(f"{path}: a report and its config must be JSON objects")
     try:
-        return SimReport(
+        report = SimReport(
             config_echo=payload["config"],
             selections=payload["selections"],
             rmse_table=payload["rmse"],
@@ -462,3 +420,15 @@ def read_report(path) -> SimReport:
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing report key {exc}") from exc
+    if not isinstance(report.config_echo.get("strategy"), str):
+        raise DataFormatError(f"{path}: config.strategy must be a string")
+    if not isinstance(report.mean_rmse, list) or not all(map(_is_number, report.mean_rmse)) \
+            or not _is_number(report.year_rmse):
+        raise DataFormatError(
+            f"{path}: mean_rmse must be a list of numbers and year_rmse a number")
+    return report
+
+
+def _is_number(value) -> bool:
+    """A JSON number as json.load gives it (NaN included), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -283,7 +283,11 @@ class TestCompare:
         [1, 2],
         {"config": [], "selections": [], "rmse": {}, "mean_rmse": [1.0],
          "year_rmse": 1.0, "omega_sizes": [1]},
-    ], ids=["list", "config-list"])
+        {"config": {}, "selections": [], "rmse": {}, "mean_rmse": [1.0],
+         "year_rmse": 1.0, "omega_sizes": []},
+        {"config": {"strategy": "random"}, "selections": [], "rmse": {},
+         "mean_rmse": "abc", "year_rmse": 1.0, "omega_sizes": []},
+    ], ids=["list", "config-list", "no-strategy", "mean-rmse-text"])
     def test_report_of_the_wrong_shape_is_a_format_error(self, tmp_path, capsys,
                                                          payload):
         bad = tmp_path / "bad.json"

@@ -206,6 +206,14 @@ class TestStreamedLoaderMatchesOracle:
         _same_load(_write(tmp_path, HEADER + "".join(sparse), "sparse.csv"),
                    min_coverage=0.3)
 
+    @pytest.mark.parametrize("chunk", [data_io.CHUNK_RECORDS, 2])
+    def test_good_files_never_take_the_slow_path(self, tmp_path, monkeypatch, chunk):
+        # a clean file is read once, a chunk at a time
+        def slow_path(path):
+            raise AssertionError(f"{path}: a clean file was read again")
+        monkeypatch.setattr(data_io, "_raise_first_fault", slow_path)
+        self.test_good_files_give_the_oracles_tensor(tmp_path, monkeypatch, chunk)
+
 
 class TestCalendar:
     def test_skipped_month_is_named(self, tmp_path):
@@ -438,6 +446,32 @@ class TestReportRoundTrip:
         with pytest.raises(DataFormatError, match="must be JSON objects") as exc:
             read_report(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("change", [
+        {"config": {}}, {"config": {"strategy": 3}}, {"mean_rmse": "abc"},
+        {"mean_rmse": [1.0, "2"]}, {"mean_rmse": [True]}, {"year_rmse": None},
+        {"year_rmse": False},
+    ], ids=["no-strategy", "strategy-number", "mean-text", "mean-item-text",
+            "mean-item-bool", "year-null", "year-bool"])
+    def test_strategy_and_rmse_types_are_checked(self, tmp_path, change):
+        payload = {"config": {"strategy": "random"}, "selections": [], "rmse": {},
+                   "mean_rmse": [1.0, 2], "year_rmse": 1.5, "omega_sizes": [], **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="must be") as exc:
+            read_report(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_nan_rmse_still_reads(self, small_report, tmp_path):
+        tensor, split, mc = small_report
+        rep = run(tensor, split, "random", L=1, T=2, model_config=mc, seed=1)
+        rep.mean_rmse[0] = rep.year_rmse = float("nan")
+        path = tmp_path / "report.json"
+        write_report(rep, path)
+        loaded = read_report(path)
+        assert np.isnan(loaded.mean_rmse[0]) and np.isnan(loaded.year_rmse)
+        assert loaded.mean_rmse[1:] == rep.mean_rmse[1:]
+
 
 class TestManifest:
     def test_checksum_stable_across_reload(self, tmp_path):
